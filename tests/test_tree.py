@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from wbgame.tree import (
     Chance,
+    Decision,
     NodeCounts,
     Player,
     Terminal,
     chance,
     count_nodes,
     decision,
+    iter_nodes,
     node_id,
     reachable_probability,
     terminal,
@@ -63,6 +65,43 @@ class TestValidateTree:
         shared = leaf()
         tree = decision(Player.TOM, "d", [("l", shared), ("r", shared)])
         assert any("more than one path" in v for v in validate_tree(tree))
+
+    def test_every_violation_message_verbatim(self):
+        shared = leaf(label="shared")
+        tree = Decision(Player.ALICE, "root", (
+            ("dup", chance("c", [("x", 0.5, leaf()), ("x", 0.7, leaf())])),
+            ("dup", decision(Player.TOM, "one", [("only", Terminal("t", {Player.ALICE: 1.0}))])),
+            ("", chance("e", [("", 1.0, leaf(alice=math.inf, tom=math.nan))])),
+            ("probs", chance("p", [
+                ("neg", -0.1, leaf()), ("big", 1.5, leaf()),
+                ("nan", math.nan, leaf()), ("ok", 0.3, leaf()),
+            ])),
+            ("act", decision(Player.TOM, "a", [("p", shared), ("q", shared)], active="zzz")),
+            ("none", Decision(Player.TOM, "empty", ())),
+            ("pay", Terminal("t", {Player.TOM: math.inf})),
+        ), "missing")
+        labels = "['dup', 'dup', '', 'probs', 'act', 'none', 'pay']"
+        assert validate_tree(tree) == [
+            f"(root): duplicate action labels {labels}",
+            "(root): empty action label",
+            f"(root): active_action 'missing' is not one of {labels}",
+            "dup: duplicate branch labels ['x', 'x']",
+            "dup: probabilities sum to 1.2, not 1",
+            "dup: decision node has 1 action(s), needs >= 2",
+            "dup/only: terminal is missing a payoff for tom",
+            "(root): empty branch label",
+            "/: payoff for alice is inf (must be finite or -inf)",
+            "/: payoff for tom is nan (must be finite or -inf)",
+            "probs: branch 'neg' probability -0.1 outside [0, 1]",
+            "probs: branch 'big' probability 1.5 outside [0, 1]",
+            "probs: branch 'nan' probability nan outside [0, 1]",
+            "probs: probabilities sum to 0.3, not 1",
+            "act: active_action 'zzz' is not one of ['p', 'q']",
+            "act/q: node object reachable by more than one path",
+            "none: decision node has 0 action(s), needs >= 2",
+            "pay: terminal is missing a payoff for alice",
+            "pay: payoff for tom is inf (must be finite or -inf)",
+        ]
 
     def test_validation_is_idempotent(self):
         tree = chance("c", [("a", 0.5, leaf()), ("b", 0.6, leaf())])
@@ -166,6 +205,14 @@ def test_terminal_reach_probabilities_sum_to_one(tp):
 def test_random_trees_are_valid(tree):
     # generator only produces structurally legal trees
     assert validate_tree(tree) == []
+
+
+def test_iter_nodes_ids_with_empty_labels():
+    tree = decision(Player.ALICE, "r", [
+        ("", chance("c", [("", 0.5, leaf()), ("h", 0.5, leaf())])),
+        ("b", leaf()),
+    ])
+    assert [nid for nid, _ in iter_nodes(tree)] == ["", "", "/", "/h", "b"]
 
 
 def test_node_id_joins_path():
