@@ -9,7 +9,7 @@ maximising its owner's value, with exact ties resolved by a per-player
 
 Risk attitudes use the constant-absolute-risk-aversion family
 
-    u_a(v) = (1 - exp(-a * v)) / a        (a != 0)
+    u_a(v) = (1 - exp(-a * v)) / a        (a != 0, evaluated as -expm1(-a*v) / a)
     u_0(v) = v                            (exact identity, no limit taken)
 
 ``a > 0`` is risk-averse, ``a < 0`` risk-seeking. ``u_a(0) = 0`` for every
@@ -102,14 +102,14 @@ def risk_transform(v: float, alpha: float) -> float:
     if v == NEG_INF:
         return NEG_INF
     try:
-        e = math.exp(-alpha * v)
+        # expm1, not 1 - exp: the difference cancels to 0 as alpha -> 0
+        u = -math.expm1(-alpha * v) / alpha
     except OverflowError:
         if alpha > 0:
             return NEG_INF
         raise OverflowError(
             f"risk transform overflows for v={v!r}, alpha={alpha!r}"
         ) from None
-    u = (1.0 - e) / alpha
     if u == math.inf or math.isnan(u):
         raise OverflowError(f"risk transform out of range for v={v!r}, alpha={alpha!r}")
     return u

@@ -54,7 +54,7 @@ GOLDEN_COMMANDS["sweep-snowden-I"] = [
 ]
 
 #: risk modes pinned in the digest file
-DIGEST_MODES = ("neutral",)
+DIGEST_MODES = ("neutral", "risk")
 
 
 def cli_output(argv: list[str]) -> str:

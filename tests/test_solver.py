@@ -122,6 +122,18 @@ class TestRiskTransform:
         with pytest.raises(ValueError):
             risk_transform(1.0, float("inf"))
 
+    @pytest.mark.parametrize("alpha", [1e-12, -1e-12, 1e-17, -1e-17, 1e-300, -1e-300])
+    def test_tiny_alpha_matches_risk_neutral_solve(self, baseline, alpha):
+        # (1 - exp(-a*v)) / a cancels to 0 as a -> 0; the solve must not notice
+        from wbgame.model import build_game
+
+        tree = build_game(baseline.parameters)
+        neutral = solve(tree)
+        tiny = solve(tree, RiskProfile(alpha, alpha))
+        assert tiny.profile == neutral.profile
+        for p in (Player.ALICE, Player.TOM):
+            assert tiny.root_value[p] == pytest.approx(neutral.root_value[p], rel=1e-9)
+
     @given(
         st.floats(min_value=-50, max_value=50, allow_nan=False),
         st.floats(min_value=-50, max_value=50, allow_nan=False),
