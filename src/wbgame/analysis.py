@@ -12,10 +12,8 @@ probability arithmetic empirically.
 from __future__ import annotations
 
 import math
-import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -47,19 +45,29 @@ class OutcomeClass(Enum):
     UNCENSORED_JAILED = model.UNCENSORED_JAILED
 
 
+_OUTCOME_CLASSES = tuple(OutcomeClass)
+# label -> position in _OUTCOME_CLASSES; plain-string keys keep the per-solve
+# tallies clear of Enum's Python-level __hash__
+_CLASS_INDEX = {cls.value: i for i, cls in enumerate(_OUTCOME_CLASSES)}
+
+
 def classify_terminal(label: str) -> OutcomeClass:
     try:
-        return OutcomeClass(label)
-    except ValueError:
+        return _OUTCOME_CLASSES[_CLASS_INDEX[label]]
+    except KeyError:
         raise ValueError(f"terminal label {label!r} is not an outcome class") from None
 
 
 def class_distribution(tree: Node, result: SolveResult) -> dict[OutcomeClass, float]:
     """Aggregate the solved outcome distribution by outcome class."""
-    dist = {cls: 0.0 for cls in OutcomeClass}
+    totals = [0.0] * len(_OUTCOME_CLASSES)
+    reach = result.outcome_distribution
     for nid, node in terminals(tree):
-        dist[classify_terminal(node.label)] += result.outcome_distribution[nid]
-    return dist
+        i = _CLASS_INDEX.get(node.label)
+        if i is None:
+            classify_terminal(node.label)  # raises the ValueError
+        totals[i] += reach[nid]
+    return dict(zip(_OUTCOME_CLASSES, totals))
 
 
 def outcome_support(tree: Node, result: SolveResult) -> frozenset[OutcomeClass]:
@@ -73,11 +81,7 @@ def alice_leaks(result: SolveResult) -> bool:
     return result.profile.get(model.ROOT_NODE_ID) == "leak"
 
 
-SWEEPABLE = (
-    "w", "x", "y", "z",
-    "a", "b", "c", "d", "e", "f", "g",
-    "B", "C", "D", "E", "F", "G", "H", "I",
-)
+SWEEPABLE = model.PARAMETER_NAMES
 
 
 def _with_param(base: GameParameters, param: str, value: float) -> GameParameters:
@@ -94,15 +98,6 @@ def _solve_point(base: GameParameters, param: str, value: float,
         raise ValueError("; ".join(problems))
     tree = build_game(p)
     return tree, solve(tree, risk, ties)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("WBGAME_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n > 0:
-            return n
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -131,9 +126,9 @@ def sweep(
 ) -> SweepTable:
     """Solve once per grid point; invalid points become error rows.
 
-    The grid must be strictly increasing. Rows are computed independently
-    (possibly on several threads, capped by WBGAME_THREADS) and reported in
-    grid order, so output never depends on scheduling.
+    The grid must be strictly increasing. Rows are computed one after
+    another in grid order: the work is pure Python and holds the interpreter
+    lock throughout, so threads would only add overhead.
     """
     if param not in SWEEPABLE:
         raise AnalysisError(f"unknown parameter {param!r}; expected one of {SWEEPABLE}")
@@ -157,13 +152,7 @@ def sweep(
             class_distribution(tree, result),
         )
 
-    workers = _worker_count()
-    if workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(point, grid))
-    else:
-        rows = tuple(point(v) for v in grid)
-    return SweepTable(param, rows)
+    return SweepTable(param, tuple(point(v) for v in grid))
 
 
 @dataclass(frozen=True)
@@ -217,7 +206,9 @@ def find_threshold(
 
     Requires different outcome support at ``lo`` and ``hi``. A ``prescan``-
     point scan guards against several flips in the bracket: if more than one
-    is detected, the first is reported and ``monotone`` is False.
+    is detected, the first is reported and ``monotone`` is False. So
+    ``monotone`` True means "no second flip seen at the prescan spacing":
+    two flips inside one prescan segment look like none.
     """
     if tol <= 0:
         raise AnalysisError(f"tol must be positive, got {tol!r}")

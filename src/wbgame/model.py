@@ -40,7 +40,7 @@ holding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .tree import (
@@ -121,6 +121,10 @@ class GameParameters:
     H: float
     I: float
     variant: Variant = Variant.STANDARD
+
+
+#: the 19 numeric parameters, in declaration order
+PARAMETER_NAMES = tuple(f.name for f in fields(GameParameters) if f.name != "variant")
 
 
 def validate_parameters(p: GameParameters) -> list[str]:

@@ -31,11 +31,7 @@ from .tree import NEG_INF, Chance, Decision, Node, Player, iter_nodes, terminals
 from . import model
 
 
-NUMERIC_KEYS = (
-    "w", "x", "y", "z",
-    "a", "b", "c", "d", "e", "f", "g",
-    "B", "C", "D", "E", "F", "G", "H", "I",
-)
+NUMERIC_KEYS = model.PARAMETER_NAMES
 OPTION_KEYS = (
     "name", "variant", "risk_alice", "risk_tom", "tie_alice", "tie_tom",
     "expected_outcome",

@@ -36,7 +36,7 @@ from .tree import (
     decisions,
     find_node,
     node_id,
-    terminal_reach_probabilities,
+    unchecked_reach_probabilities,
     validate_tree,
 )
 
@@ -95,10 +95,10 @@ def risk_transform(v: float, alpha: float) -> float:
     float range upward (a < 0 with v very positive), since +inf is not a
     legal payoff.
     """
-    if math.isnan(alpha) or math.isinf(alpha):
-        raise ValueError(f"risk coefficient must be finite, got {alpha!r}")
     if alpha == 0.0:
         return v
+    if not math.isfinite(alpha):
+        raise ValueError(f"risk coefficient must be finite, got {alpha!r}")
     if v == NEG_INF:
         return NEG_INF
     try:
@@ -147,38 +147,57 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
         raise ValueError("invalid tree: " + "; ".join(problems))
     _check_risk(risk)
 
+    alice, tom = Player.ALICE, Player.TOM
+    alpha_alice, alpha_tom = risk.alice, risk.tom
     node_values: dict[str, dict[Player, float]] = {}
     profile: StrategyProfile = {}
 
-    def visit(node: Node, path: tuple[str, ...]) -> dict[Player, float]:
-        nid = node_id(path)
-        if isinstance(node, Terminal):
+    # one recursive pass; ``nid`` is built as "/".join(path) would build it,
+    # so only the root's children go without the "/" separator
+    def visit(node: Node, nid: str, is_root: bool) -> dict[Player, float]:
+        kind = type(node)
+        if kind is Terminal:
+            payoffs = node.payoffs
             vals = {
-                p: risk_transform(node.payoffs[p], risk.coefficient(p)) for p in PLAYERS
+                alice: risk_transform(payoffs[alice], alpha_alice),
+                tom: risk_transform(payoffs[tom], alpha_tom),
             }
-        elif isinstance(node, Chance):
-            children = [
-                (prob, visit(child, path + (label,))) for label, prob, child in node.branches
-            ]
-            vals = {}
-            for p in PLAYERS:
-                acc = 0.0
-                for prob, cv in children:
-                    if prob > 0.0:  # 0 * -inf would be NaN
-                        acc += prob * cv[p]
-                vals[p] = acc
+        elif kind is Chance:
+            prefix = "" if is_root else nid + "/"
+            acc_alice = acc_tom = 0.0
+            for label, prob, child in node.branches:
+                cv = visit(child, prefix + label, False)
+                if prob > 0.0:  # 0 * -inf would be NaN
+                    acc_alice += prob * cv[alice]
+                    acc_tom += prob * cv[tom]
+            vals = {alice: acc_alice, tom: acc_tom}
         else:
-            acted = [(label, visit(child, path + (label,))) for label, child in node.actions]
-            best = max(v[node.owner] for _, v in acted)
-            winners = [label for label, v in acted if v[node.owner] == best]
-            choice = preferred_on_tie(winners, ties.rule_for(node.owner), node.active_action)
+            prefix = "" if is_root else nid + "/"
+            owner = node.owner
+            kids: dict[str, dict[Player, float]] = {}
+            winners: list[str] = []
+            best = NEG_INF
+            for label, child in node.actions:
+                cv = kids[label] = visit(child, prefix + label, False)
+                v = cv[owner]
+                if v > best or not winners:
+                    best = v
+                    winners = [label]
+                elif v == best:
+                    winners.append(label)
+            choice = (
+                winners[0]  # a lone winner needs no tie rule
+                if len(winners) == 1
+                else preferred_on_tie(winners, ties.rule_for(owner), node.active_action)
+            )
             profile[nid] = choice
-            vals = dict(next(v for label, v in acted if label == choice))
+            vals = dict(kids[choice])
         node_values[nid] = vals
         return vals
 
-    root_value = visit(root, ())
-    distribution = terminal_reach_probabilities(root, profile)
+    root_value = visit(root, "", True)
+    # solve built the profile from the tree itself, so it needs no check_profile
+    distribution = unchecked_reach_probabilities(root, profile)
     return SolveResult(profile, node_values, root_value, distribution)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
 NEG_INF = float("-inf")
@@ -25,10 +26,17 @@ NEG_INF = float("-inf")
 #: absolute tolerance for chance-branch probabilities summing to 1
 PROB_SUM_TOL = 1e-9
 
+_first = itemgetter(0)
+
 
 class Player(Enum):
     ALICE = "alice"
     TOM = "tom"
+
+    # Enum hashes by name in Python code; members are singletons compared by
+    # identity, so identity hashing is equivalent and keeps the payoff and
+    # value dict lookups of every solve in C.
+    __hash__ = object.__hash__
 
 
 PLAYERS = (Player.ALICE, Player.TOM)
@@ -102,25 +110,31 @@ def node_id(path: tuple[str, ...]) -> str:
 
 def iter_nodes(root: Node) -> Iterator[tuple[str, Node]]:
     """Yield (identifier, node) pairs in preorder."""
-
-    def walk(node: Node, path: tuple[str, ...]) -> Iterator[tuple[str, Node]]:
-        yield node_id(path), node
-        if isinstance(node, Decision):
-            for label, child in node.actions:
-                yield from walk(child, path + (label,))
-        elif isinstance(node, Chance):
-            for label, _, child in node.branches:
-                yield from walk(child, path + (label,))
-
-    yield from walk(root, ())
+    # explicit stack of (identifier, node, is_root); children are pushed in
+    # reverse so they pop in order. Only the root's children skip the "/",
+    # which matches "/".join(path) even when labels are empty.
+    stack: list[tuple[str, Node, bool]] = [("", root, True)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nid, node, is_root = pop()
+        yield nid, node
+        kind = type(node)
+        if kind is Decision:
+            prefix = "" if is_root else nid + "/"
+            for label, child in reversed(node.actions):
+                push((prefix + label, child, False))
+        elif kind is Chance:
+            prefix = "" if is_root else nid + "/"
+            for label, _, child in reversed(node.branches):
+                push((prefix + label, child, False))
 
 
 def decisions(root: Node) -> list[tuple[str, Decision]]:
-    return [(nid, n) for nid, n in iter_nodes(root) if isinstance(n, Decision)]
+    return [(nid, n) for nid, n in iter_nodes(root) if type(n) is Decision]
 
 
 def terminals(root: Node) -> list[tuple[str, Terminal]]:
-    return [(nid, n) for nid, n in iter_nodes(root) if isinstance(n, Terminal)]
+    return [(nid, n) for nid, n in iter_nodes(root) if type(n) is Terminal]
 
 
 def find_node(root: Node, target: str) -> tuple[Node, tuple[str, ...]]:
@@ -150,9 +164,47 @@ def count_nodes(root: Node) -> NodeCounts:
     return NodeCounts(dec, cha, ter)
 
 
-def _payoff_ok(v: float) -> bool:
-    # finite or -inf; +inf and NaN are not legal payoffs
-    return not math.isnan(v) and v != math.inf
+def _terminal_violations(nid: str, node: Terminal) -> list[str]:
+    out = []
+    for p in PLAYERS:
+        if p not in node.payoffs:
+            out.append(f"{nid}: terminal is missing a payoff for {p.value}")
+        elif math.isnan(node.payoffs[p]) or node.payoffs[p] == math.inf:
+            out.append(
+                f"{nid}: payoff for {p.value} is {node.payoffs[p]!r} "
+                "(must be finite or -inf)"
+            )
+    return out
+
+
+def _decision_violations(nid: str, node: Decision, labels: list[str]) -> list[str]:
+    out = []
+    if len(node.actions) < 2:
+        out.append(f"{nid}: decision node has {len(node.actions)} action(s), needs >= 2")
+    if len(set(labels)) != len(labels):
+        out.append(f"{nid}: duplicate action labels {labels}")
+    if any(not label for label in labels):
+        out.append(f"{nid}: empty action label")
+    if node.active_action is not None and node.active_action not in labels:
+        out.append(f"{nid}: active_action {node.active_action!r} is not one of {labels}")
+    return out
+
+
+def _chance_violations(nid: str, node: Chance, labels: list[str]) -> list[str]:
+    out = []
+    if len(set(labels)) != len(labels):
+        out.append(f"{nid}: duplicate branch labels {labels}")
+    if any(not label for label in labels):
+        out.append(f"{nid}: empty branch label")
+    total = 0.0
+    for label, prob, _ in node.branches:
+        if math.isnan(prob) or prob < 0.0 or prob > 1.0:
+            out.append(f"{nid}: branch {label!r} probability {prob!r} outside [0, 1]")
+        else:
+            total += prob
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        out.append(f"{nid}: probabilities sum to {total!r}, not 1")
+    return out
 
 
 def validate_tree(root: Node) -> list[str]:
@@ -164,61 +216,61 @@ def validate_tree(root: Node) -> list[str]:
     outgoing edges are unique and non-empty, and no node object appears twice
     (which would make a node have two parents, or a cycle).
     """
+    # Each node gets a cheap pass/fail test first; only a failing node is
+    # re-examined by the _*_violations helpers, which word the messages.
     violations: list[str] = []
     seen: set[int] = set()
-
-    def walk(node: Node, path: tuple[str, ...]) -> None:
-        nid = node_id(path) or "(root)"
-        if id(node) in seen:
-            violations.append(f"{nid}: node object reachable by more than one path")
-            return
+    stack: list[tuple[str, Node, bool]] = [("", root, True)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nid, node, is_root = pop()
+        before = len(seen)
         seen.add(id(node))
-
-        if isinstance(node, Terminal):
-            for p in PLAYERS:
-                if p not in node.payoffs:
-                    violations.append(f"{nid}: terminal is missing a payoff for {p.value}")
-                elif not _payoff_ok(node.payoffs[p]):
-                    violations.append(
-                        f"{nid}: payoff for {p.value} is {node.payoffs[p]!r} "
-                        "(must be finite or -inf)"
-                    )
-            return
-
-        if isinstance(node, Decision):
-            if len(node.actions) < 2:
-                violations.append(f"{nid}: decision node has {len(node.actions)} action(s), needs >= 2")
-            labels = [label for label, _ in node.actions]
-            if len(set(labels)) != len(labels):
-                violations.append(f"{nid}: duplicate action labels {labels}")
-            if any(not label for label in labels):
-                violations.append(f"{nid}: empty action label")
-            if node.active_action is not None and node.active_action not in labels:
-                violations.append(
-                    f"{nid}: active_action {node.active_action!r} is not one of {labels}"
-                )
-            for label, child in node.actions:
-                walk(child, path + (label,))
-            return
-
-        # Chance
-        labels = [label for label, _, _ in node.branches]
-        if len(set(labels)) != len(labels):
-            violations.append(f"{nid}: duplicate branch labels {labels}")
-        if any(not label for label in labels):
-            violations.append(f"{nid}: empty branch label")
-        total = 0.0
-        for label, prob, _ in node.branches:
-            if math.isnan(prob) or prob < 0.0 or prob > 1.0:
-                violations.append(f"{nid}: branch {label!r} probability {prob!r} outside [0, 1]")
-            else:
-                total += prob
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            violations.append(f"{nid}: probabilities sum to {total!r}, not 1")
-        for label, _, child in node.branches:
-            walk(child, path + (label,))
-
-    walk(root, ())
+        if len(seen) == before:
+            violations.append(f"{nid or '(root)'}: node object reachable by more than one path")
+            continue
+        kind = type(node)
+        if kind is Terminal:
+            alice = node.payoffs.get(Player.ALICE)
+            tom = node.payoffs.get(Player.TOM)
+            if (
+                alice is None
+                or tom is None
+                or not (NEG_INF <= alice < math.inf and NEG_INF <= tom < math.inf)  # NaN fails
+            ):
+                violations += _terminal_violations(nid or "(root)", node)
+            continue
+        prefix = "" if is_root else nid + "/"
+        if kind is Decision:
+            labels = list(map(_first, node.actions))
+            active = node.active_action
+            if (
+                len(labels) < 2
+                or len(set(labels)) != len(labels)
+                or not all(labels)
+                or (active is not None and active not in labels)
+            ):
+                violations += _decision_violations(nid or "(root)", node, labels)
+            for label, child in reversed(node.actions):
+                push((prefix + label, child, False))
+        else:
+            labels = list(map(_first, node.branches))
+            total = 0.0
+            in_range = True
+            for _, prob, _ in node.branches:
+                if 0.0 <= prob <= 1.0:  # False for NaN
+                    total += prob
+                else:
+                    in_range = False
+            if (
+                not in_range
+                or abs(total - 1.0) > PROB_SUM_TOL
+                or len(set(labels)) != len(labels)
+                or not all(labels)
+            ):
+                violations += _chance_violations(nid or "(root)", node, labels)
+            for label, _, child in reversed(node.branches):
+                push((prefix + label, child, False))
     return violations
 
 
@@ -240,20 +292,28 @@ def check_profile(root: Node, profile: StrategyProfile) -> None:
 def terminal_reach_probabilities(root: Node, profile: StrategyProfile) -> dict[str, float]:
     """Probability of reaching each terminal under ``profile``, zero entries included."""
     check_profile(root, profile)
+    return unchecked_reach_probabilities(root, profile)
+
+
+def unchecked_reach_probabilities(root: Node, profile: StrategyProfile) -> dict[str, float]:
+    """:func:`terminal_reach_probabilities` for a profile already known to fit ``root``."""
     out: dict[str, float] = {}
-
-    def walk(node: Node, path: tuple[str, ...], prob: float) -> None:
-        if isinstance(node, Terminal):
-            out[node_id(path)] = prob
-        elif isinstance(node, Decision):
-            chosen = profile[node_id(path)]
-            for label, child in node.actions:
-                walk(child, path + (label,), prob if label == chosen else 0.0)
+    stack: list[tuple[str, Node, bool, float]] = [("", root, True, 1.0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nid, node, is_root, prob = pop()
+        kind = type(node)
+        if kind is Terminal:
+            out[nid] = prob
+            continue
+        prefix = "" if is_root else nid + "/"
+        if kind is Decision:
+            chosen = profile[nid]
+            for label, child in reversed(node.actions):
+                push((prefix + label, child, False, prob if label == chosen else 0.0))
         else:
-            for label, p, child in node.branches:
-                walk(child, path + (label,), prob * p)
-
-    walk(root, (), 1.0)
+            for label, p, child in reversed(node.branches):
+                push((prefix + label, child, False, prob * p))
     return out
 
 

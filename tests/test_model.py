@@ -8,6 +8,7 @@ from wbgame.model import (
     BLOCK_NODE_ID,
     CENSOR_NODE_ID,
     CENSORED_NODE_IDS,
+    PARAMETER_NAMES,
     UNCENSORED_NODE_IDS,
     GameParameters,
     Variant,
@@ -282,3 +283,15 @@ def test_full_indifference_resolves_to_all_active_choices():
     assert result.profile[CENSOR_NODE_ID] == "censor"
     for nid in CENSORED_NODE_IDS + UNCENSORED_NODE_IDS:
         assert result.profile[nid] == "pursue"
+
+
+def test_one_parameter_list_serves_sweeps_and_scenario_files():
+    from wbgame import analysis, scenario
+
+    assert PARAMETER_NAMES == (
+        "w", "x", "y", "z",
+        "a", "b", "c", "d", "e", "f", "g",
+        "B", "C", "D", "E", "F", "G", "H", "I",
+    )
+    assert analysis.SWEEPABLE is PARAMETER_NAMES
+    assert scenario.NUMERIC_KEYS is PARAMETER_NAMES

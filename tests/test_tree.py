@@ -67,7 +67,7 @@ class TestValidateTree:
         assert any("more than one path" in v for v in validate_tree(tree))
 
     def test_every_violation_message_verbatim(self):
-        shared = leaf(label="shared")
+        shared = chance("s", [("h", 0.5, leaf()), ("t", 0.5, leaf())])
         tree = Decision(Player.ALICE, "root", (
             ("dup", chance("c", [("x", 0.5, leaf()), ("x", 0.7, leaf())])),
             ("dup", decision(Player.TOM, "one", [("only", Terminal("t", {Player.ALICE: 1.0}))])),
