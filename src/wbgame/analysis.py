@@ -45,29 +45,28 @@ class OutcomeClass(Enum):
     UNCENSORED_JAILED = model.UNCENSORED_JAILED
 
 
-_OUTCOME_CLASSES = tuple(OutcomeClass)
-# label -> position in _OUTCOME_CLASSES; plain-string keys keep the per-solve
+# label -> position in OutcomeClass; plain-string keys keep the per-solve
 # tallies clear of Enum's Python-level __hash__
-_CLASS_INDEX = {cls.value: i for i, cls in enumerate(_OUTCOME_CLASSES)}
+_CLASS_INDEX = {cls.value: i for i, cls in enumerate(OutcomeClass)}
 
 
 def classify_terminal(label: str) -> OutcomeClass:
     try:
-        return _OUTCOME_CLASSES[_CLASS_INDEX[label]]
-    except KeyError:
+        return OutcomeClass(label)
+    except ValueError:
         raise ValueError(f"terminal label {label!r} is not an outcome class") from None
 
 
 def class_distribution(tree: Node, result: SolveResult) -> dict[OutcomeClass, float]:
     """Aggregate the solved outcome distribution by outcome class."""
-    totals = [0.0] * len(_OUTCOME_CLASSES)
+    totals = [0.0] * len(_CLASS_INDEX)
     reach = result.outcome_distribution
     for nid, node in terminals(tree):
         i = _CLASS_INDEX.get(node.label)
         if i is None:
             classify_terminal(node.label)  # raises the ValueError
         totals[i] += reach[nid]
-    return dict(zip(_OUTCOME_CLASSES, totals))
+    return dict(zip(OutcomeClass, totals))
 
 
 def outcome_support(tree: Node, result: SolveResult) -> frozenset[OutcomeClass]:

@@ -185,11 +185,7 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
                     winners = [label]
                 elif v == best:
                     winners.append(label)
-            choice = (
-                winners[0]  # a lone winner needs no tie rule
-                if len(winners) == 1
-                else preferred_on_tie(winners, ties.rule_for(owner), node.active_action)
-            )
+            choice = preferred_on_tie(winners, ties.rule_for(owner), node.active_action)
             profile[nid] = choice
             vals = dict(kids[choice])
         node_values[nid] = vals

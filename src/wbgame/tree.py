@@ -164,49 +164,6 @@ def count_nodes(root: Node) -> NodeCounts:
     return NodeCounts(dec, cha, ter)
 
 
-def _terminal_violations(nid: str, node: Terminal) -> list[str]:
-    out = []
-    for p in PLAYERS:
-        if p not in node.payoffs:
-            out.append(f"{nid}: terminal is missing a payoff for {p.value}")
-        elif math.isnan(node.payoffs[p]) or node.payoffs[p] == math.inf:
-            out.append(
-                f"{nid}: payoff for {p.value} is {node.payoffs[p]!r} "
-                "(must be finite or -inf)"
-            )
-    return out
-
-
-def _decision_violations(nid: str, node: Decision, labels: list[str]) -> list[str]:
-    out = []
-    if len(node.actions) < 2:
-        out.append(f"{nid}: decision node has {len(node.actions)} action(s), needs >= 2")
-    if len(set(labels)) != len(labels):
-        out.append(f"{nid}: duplicate action labels {labels}")
-    if any(not label for label in labels):
-        out.append(f"{nid}: empty action label")
-    if node.active_action is not None and node.active_action not in labels:
-        out.append(f"{nid}: active_action {node.active_action!r} is not one of {labels}")
-    return out
-
-
-def _chance_violations(nid: str, node: Chance, labels: list[str]) -> list[str]:
-    out = []
-    if len(set(labels)) != len(labels):
-        out.append(f"{nid}: duplicate branch labels {labels}")
-    if any(not label for label in labels):
-        out.append(f"{nid}: empty branch label")
-    total = 0.0
-    for label, prob, _ in node.branches:
-        if math.isnan(prob) or prob < 0.0 or prob > 1.0:
-            out.append(f"{nid}: branch {label!r} probability {prob!r} outside [0, 1]")
-        else:
-            total += prob
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        out.append(f"{nid}: probabilities sum to {total!r}, not 1")
-    return out
-
-
 def validate_tree(root: Node) -> list[str]:
     """Collect every structural violation; an empty list means the tree is valid.
 
@@ -216,61 +173,63 @@ def validate_tree(root: Node) -> list[str]:
     outgoing edges are unique and non-empty, and no node object appears twice
     (which would make a node have two parents, or a cycle).
     """
-    # Each node gets a cheap pass/fail test first; only a failing node is
-    # re-examined by the _*_violations helpers, which word the messages.
     violations: list[str] = []
+    append = violations.append
     seen: set[int] = set()
     stack: list[tuple[str, Node, bool]] = [("", root, True)]
     pop, push = stack.pop, stack.append
     while stack:
         nid, node, is_root = pop()
+        where = nid or "(root)"
         before = len(seen)
         seen.add(id(node))
         if len(seen) == before:
-            violations.append(f"{nid or '(root)'}: node object reachable by more than one path")
+            append(f"{where}: node object reachable by more than one path")
             continue
         kind = type(node)
         if kind is Terminal:
-            alice = node.payoffs.get(Player.ALICE)
-            tom = node.payoffs.get(Player.TOM)
-            if (
-                alice is None
-                or tom is None
-                or not (NEG_INF <= alice < math.inf and NEG_INF <= tom < math.inf)  # NaN fails
-            ):
-                violations += _terminal_violations(nid or "(root)", node)
+            payoffs = node.payoffs
+            for p in PLAYERS:
+                if p not in payoffs:
+                    append(f"{where}: terminal is missing a payoff for {p.value}")
+                elif not NEG_INF <= payoffs[p] < math.inf:  # NaN fails too
+                    append(
+                        f"{where}: payoff for {p.value} is {payoffs[p]!r} "
+                        "(must be finite or -inf)"
+                    )
             continue
         prefix = "" if is_root else nid + "/"
         if kind is Decision:
-            labels = list(map(_first, node.actions))
+            actions = node.actions
+            labels = list(map(_first, actions))
+            if len(actions) < 2:
+                append(f"{where}: decision node has {len(actions)} action(s), needs >= 2")
+            if len(set(labels)) != len(labels):
+                append(f"{where}: duplicate action labels {labels}")
+            if not all(labels):
+                append(f"{where}: empty action label")
             active = node.active_action
-            if (
-                len(labels) < 2
-                or len(set(labels)) != len(labels)
-                or not all(labels)
-                or (active is not None and active not in labels)
-            ):
-                violations += _decision_violations(nid or "(root)", node, labels)
-            for label, child in reversed(node.actions):
+            if active is not None and active not in labels:
+                append(f"{where}: active_action {active!r} is not one of {labels}")
+            for label, child in reversed(actions):
                 push((prefix + label, child, False))
-        else:
-            labels = list(map(_first, node.branches))
-            total = 0.0
-            in_range = True
-            for _, prob, _ in node.branches:
-                if 0.0 <= prob <= 1.0:  # False for NaN
-                    total += prob
-                else:
-                    in_range = False
-            if (
-                not in_range
-                or abs(total - 1.0) > PROB_SUM_TOL
-                or len(set(labels)) != len(labels)
-                or not all(labels)
-            ):
-                violations += _chance_violations(nid or "(root)", node, labels)
-            for label, _, child in reversed(node.branches):
-                push((prefix + label, child, False))
+            continue
+        branches = node.branches
+        labels = list(map(_first, branches))
+        if len(set(labels)) != len(labels):
+            append(f"{where}: duplicate branch labels {labels}")
+        if not all(labels):
+            append(f"{where}: empty branch label")
+        total = 0.0
+        for label, prob, _ in branches:
+            if 0.0 <= prob <= 1.0:  # False for NaN
+                total += prob
+            else:
+                append(f"{where}: branch {label!r} probability {prob!r} outside [0, 1]")
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            append(f"{where}: probabilities sum to {total!r}, not 1")
+        for label, _, child in reversed(branches):
+            push((prefix + label, child, False))
     return violations
 
 
