@@ -6,6 +6,12 @@ holds, per seeded criterion-1 game, a truncated SHA-256 of each
 ``SolveResult`` field (profile, node_values, root_value,
 outcome_distribution). Floats enter the
 digest by ``repr``, so a match means every float is bit-identical.
+``golden/flip_digests.json`` holds every ``ThresholdReport`` field of
+``find_threshold`` on each shipped scenario and each parameter whose natural
+range (below) has different outcome support at its two ends, plus every
+``LeverFinding`` of ``lever_report`` on each non-leaking base. Floats are
+stored by ``repr``; class sets as their sorted values, since set order
+follows string hashing.
 
 Regenerate only when an output change is intended::
 
@@ -17,19 +23,29 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from conftest import sample_parameters, scenario_path
+from conftest import SCENARIO_DIR, sample_parameters, scenario_path
 from test_acceptance import CLI_COMMANDS, SAMPLE_SEED
+from test_model import params
+from wbgame.analysis import (
+    alice_leaks,
+    find_threshold,
+    lever_report,
+    outcome_support,
+)
 from wbgame.cli import main
-from wbgame.model import build_game
+from wbgame.model import PARAMETER_NAMES, build_game
+from wbgame.scenario import load_scenario
 from wbgame.solver import RISK_NEUTRAL, RiskProfile, solve
 from wbgame.tree import Player
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DIGEST_FILE = GOLDEN_DIR / "solve_digests.json"
+FLIP_FILE = GOLDEN_DIR / "flip_digests.json"
 N_GAMES = 200
 RISK_SEED = 7919
 
@@ -98,6 +114,73 @@ def digests(mode: str) -> list[dict[str, str]]:
     return [result_digest(solve(build_game(p), risk)) for p, risk in _games(mode)]
 
 
+SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.scn"))
+
+
+def natural_range(p, param: str) -> tuple[float, float]:
+    """The parameter's feasible span given the rest of ``p``; payoffs and
+    costs use criterion 1's sampling ranges."""
+    if param in ("w", "z"):
+        return 0.0, 1.0
+    if param == "x":
+        return 0.0, 1.0 - p.y
+    if param == "y":
+        return 0.0, 1.0 - p.x
+    if param in ("H", "I"):
+        return -5.0, 0.0
+    return -10.0, 10.0
+
+
+def _support(p, param, value):
+    tree = build_game(replace(p, **{param: value}))
+    return outcome_support(tree, solve(tree))
+
+
+def _classes(classes) -> str:
+    return repr(sorted(c.value for c in classes))
+
+
+def threshold_digests() -> dict[str, dict[str, str]]:
+    out = {}
+    for name in SCENARIOS:
+        p = load_scenario(scenario_path(name)).parameters
+        for param in PARAMETER_NAMES:
+            lo, hi = natural_range(p, param)
+            if _support(p, param, lo) == _support(p, param, hi):
+                continue
+            report = find_threshold(p, param, lo, hi)
+            out[f"{name}/{param}"] = {
+                f.name: _classes(v) if isinstance(v, frozenset) else repr(v)
+                for f in fields(report)
+                for v in [getattr(report, f.name)]
+            }
+    return out
+
+
+def lever_bases():
+    """Every shipped scenario that solves to no leak, plus a base where Tom
+    blocks, so the block lever has a flip to find."""
+    for name in SCENARIOS:
+        p = load_scenario(scenario_path(name)).parameters
+        if not alice_leaks(solve(build_game(p))):
+            yield name, p
+    yield "tom-blocks", params(
+        w=1.0, a=0.0, b=-1.0, x=0.0, y=1.0, z=1.0,
+        e=5.0, f=4.0, B=-1.0, E=-2.0, F=-9.0, G=-9.0, I=-3.0, H=-1.0,
+    )
+
+
+def lever_digests() -> dict[str, list[list[str]]]:
+    return {
+        name: [[repr(getattr(f, k.name)) for k in fields(f)] for f in lever_report(p)]
+        for name, p in lever_bases()
+    }
+
+
+def flip_digests() -> dict:
+    return {"threshold": threshold_digests(), "levers": lever_digests()}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
@@ -112,6 +195,15 @@ def test_solve_results_match_digests(mode):
         assert got == want, f"{mode} game {i}"
 
 
+def test_flip_results_match_digests():
+    pinned = json.loads(FLIP_FILE.read_text())
+    got = flip_digests()
+    assert sorted(got["threshold"]) == sorted(pinned["threshold"])
+    for key, report in pinned["threshold"].items():
+        assert got["threshold"][key] == report, key
+    assert got["levers"] == pinned["levers"]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in GOLDEN_COMMANDS.items():
@@ -124,3 +216,4 @@ if __name__ == "__main__":
         )
         + "\n}\n"
     )
+    FLIP_FILE.write_text(json.dumps(flip_digests(), indent=1) + "\n")
