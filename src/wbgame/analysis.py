@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 from . import model
 from .model import GameParameters, build_game
@@ -172,6 +173,42 @@ def _support_at(base: GameParameters, param: str, value: float,
     return outcome_support(tree, result)
 
 
+def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, object]]:
+    """(start, end, key at start) of each segment of a ``points``-point grid
+    over [lo, hi] whose two ends have different ``key``."""
+    if points < 2:
+        raise AnalysisError(f"need at least 2 scan points, got {points}")
+    xs = [lo + i * (hi - lo) / (points - 1) for i in range(points)]
+    keys = [key(x) for x in xs]
+    return [(xs[i], xs[i + 1], keys[i]) for i in range(points - 1) if keys[i] != keys[i + 1]]
+
+
+def _flip_search(key, lo: float, hi: float, tol: float, prescan: int,
+                 key_lo: object = None) -> tuple[float | None, int]:
+    """Bisect the first change of ``key`` seen by a ``prescan``-point grid on [lo, hi].
+
+    Returns (that point, or None if the scan sees no change; changing segments).
+    Stops at ``tol`` or the float spacing. ``key_lo`` (key(lo) != key(hi) known)
+    bisects all of [lo, hi] if the change hides past the grid's rounded last point.
+    """
+    segments = _scan(key, lo, hi, prescan)
+    if segments:
+        a, b, key_a = segments[0]
+    elif key_lo is not None:
+        a, b, key_a = lo, hi, key_lo
+    else:
+        return None, 0
+    while abs(b - a) > tol:
+        mid = (a + b) / 2.0
+        if mid == a or mid == b:
+            break
+        if key(mid) == key_a:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2.0, len(segments)
+
+
 def grid_scan_flip(
     base: GameParameters,
     param: str,
@@ -182,13 +219,8 @@ def grid_scan_flip(
     ties: TiePolicy = PAPER_TIES,
 ) -> list[tuple[float, float]]:
     """Consecutive grid segments whose endpoints have different outcome support."""
-    if points < 2:
-        raise AnalysisError(f"need at least 2 scan points, got {points}")
-    xs = [lo + i * (hi - lo) / (points - 1) for i in range(points)]
-    sigs = [_support_at(base, param, x, risk, ties) for x in xs]
-    return [
-        (xs[i], xs[i + 1]) for i in range(points - 1) if sigs[i] != sigs[i + 1]
-    ]
+    segments = _scan(partial(_support_at, base, param, risk=risk, ties=ties), lo, hi, points)
+    return [(a, b) for a, b, _ in segments]
 
 
 def find_threshold(
@@ -207,35 +239,24 @@ def find_threshold(
     point scan guards against several flips in the bracket: if more than one
     is detected, the first is reported and ``monotone`` is False. So
     ``monotone`` True means "no second flip seen at the prescan spacing":
-    two flips inside one prescan segment look like none.
+    two flips inside one prescan segment look like none. Bisection stops at
+    ``tol`` or at the float spacing, whichever is wider.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise AnalysisError(f"tol must be positive, got {tol!r}")
     if not lo < hi:
         raise AnalysisError(f"invalid bracket [{lo!r}, {hi!r}]")
-    sig_lo = _support_at(base, param, lo, risk, ties)
-    sig_hi = _support_at(base, param, hi, risk, ties)
-    if sig_lo == sig_hi:
+    support = partial(_support_at, base, param, risk=risk, ties=ties)
+    sig_lo = support(lo)
+    if sig_lo == support(hi):
         raise AnalysisError(
             f"outcome classes match at both ends of [{lo!r}, {hi!r}]; nothing to bracket"
         )
-
-    flips = grid_scan_flip(base, param, lo, hi, prescan, risk, ties)
-    monotone = len(flips) <= 1
-    a, b = flips[0] if flips else (lo, hi)
-    sig_a = _support_at(base, param, a, risk, ties)
-
-    while b - a > tol:
-        mid = (a + b) / 2.0
-        if _support_at(base, param, mid, risk, ties) == sig_a:
-            a = mid
-        else:
-            b = mid
-    critical = (a + b) / 2.0
-
-    below = _support_at(base, param, max(lo, critical - tol), risk, ties)
-    above = _support_at(base, param, min(hi, critical + tol), risk, ties)
-    return ThresholdReport(param, lo, hi, critical, tol, below, above, monotone)
+    critical, flips = _flip_search(support, lo, hi, tol, prescan, sig_lo)
+    # a tol below the float spacing would probe the critical point itself
+    below = support(max(lo, min(critical - tol, math.nextafter(critical, -math.inf))))
+    above = support(min(hi, max(critical + tol, math.nextafter(critical, math.inf))))
+    return ThresholdReport(param, lo, hi, critical, tol, below, above, flips <= 1)
 
 
 LEVER_PUBLISH_FASTER = "publish-faster"
@@ -252,43 +273,6 @@ class LeverFinding:
     critical: float | None  # None: no flip inside [start, end]
 
 
-def _leak_flip(
-    base: GameParameters,
-    param: str,
-    start: float,
-    end: float,
-    tol: float,
-    risk: RiskProfile,
-    ties: TiePolicy,
-    prescan: int = 64,
-) -> float | None:
-    """First point between start and end where Alice's leak decision flips."""
-
-    def leaks_at(v: float) -> bool:
-        _, result = _solve_point(base, param, v, risk, ties)
-        return alice_leaks(result)
-
-    if start == end:
-        return None
-    xs = [start + i * (end - start) / (prescan - 1) for i in range(prescan)]
-    flags = [leaks_at(x) for x in xs]
-    segment = next(
-        ((xs[i], xs[i + 1]) for i in range(prescan - 1) if flags[i] != flags[i + 1]),
-        None,
-    )
-    if segment is None:
-        return None
-    a, b = segment
-    flag_a = leaks_at(a)
-    while abs(b - a) > tol:
-        mid = (a + b) / 2.0
-        if leaks_at(mid) == flag_a:
-            a = mid
-        else:
-            b = mid
-    return (a + b) / 2.0
-
-
 def lever_report(
     base: GameParameters,
     risk: RiskProfile = RISK_NEUTRAL,
@@ -302,8 +286,11 @@ def lever_report(
     Lever 1 pushes Tom's blocking payoff B toward -inf (publication too fast
     to block), lever 2 pushes the de-anonymisation adjustment I downward
     (unmasking Alice gets pricier), lever 3 raises trust w toward 1. The base
-    must currently solve to no leak.
+    must currently solve to no leak. A lever already at its limit (B = -inf,
+    w = 1) has nowhere to move and reports no flip.
     """
+    if not tol > 0:
+        raise AnalysisError(f"tol must be positive, got {tol!r}")
     _, base_result = _solve_point(base, "w", base.w, risk, ties)
     if alice_leaks(base_result):
         raise AnalysisError("base scenario already solves to a leak; no lever needed")
@@ -315,7 +302,12 @@ def lever_report(
     ]
     report = []
     for lever, param, start, end in searches:
-        critical = _leak_flip(base, param, start, end, tol, risk, ties)
+        critical = None
+        if start != end and not math.isinf(start):  # else the lever is at its limit
+            critical, _ = _flip_search(
+                lambda v: alice_leaks(_solve_point(base, param, v, risk, ties)[1]),
+                start, end, tol, 64,
+            )
         report.append(LeverFinding(lever, param, start, end, critical))
     return report
 

@@ -64,12 +64,6 @@ def _load(args) -> Scenario:
     return scn
 
 
-def _meta_lines(meta: dict | None) -> str:
-    if not meta:
-        return ""
-    return "".join(f"# {k}: {v}\n" for k, v in meta.items())
-
-
 def cmd_solve(args) -> int:
     scn = _load(args)
     tree = build_game(scn.parameters)
@@ -93,7 +87,7 @@ def cmd_sweep(args) -> int:
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    lines = [_meta_lines(_meta(args, scn, "sweep", {"param": args.param}))]
+    lines = [scenario.meta_header(_meta(args, scn, "sweep", {"param": args.param}))]
     classes = [c.value for c in OutcomeClass]
     lines.append(
         f"{args.param},valid,error,alice_leaks,root_alice,root_tom,"
@@ -119,17 +113,13 @@ def cmd_threshold(args) -> int:
     if not args.lo < args.hi:
         print(f"error: invalid bracket [--lo {args.lo}, --hi {args.hi}]", file=sys.stderr)
         return USAGE_ERROR
-    if args.tol <= 0:
+    if not args.tol > 0:
         print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        report = analysis.find_threshold(
-            scn.parameters, args.param, args.lo, args.hi, args.tol, scn.risk, scn.ties
-        )
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ANALYSIS_ERROR
-    lines = [_meta_lines(_meta(args, scn, "threshold"))]
+    report = analysis.find_threshold(
+        scn.parameters, args.param, args.lo, args.hi, args.tol, scn.risk, scn.ties
+    )
+    lines = [scenario.meta_header(_meta(args, scn, "threshold"))]
     lines.append(f"param: {report.param}\n")
     lines.append(f"bracket: [{report.lo!r}, {report.hi!r}]\n")
     lines.append(f"critical: {report.critical!r} +/- {report.tol!r}\n")
@@ -142,12 +132,11 @@ def cmd_threshold(args) -> int:
 
 def cmd_levers(args) -> int:
     scn = _load(args)
-    try:
-        findings = analysis.lever_report(scn.parameters, scn.risk, scn.ties, args.tol)
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ANALYSIS_ERROR
-    lines = [_meta_lines(_meta(args, scn, "levers"))]
+    if not args.tol > 0:
+        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+        return USAGE_ERROR
+    findings = analysis.lever_report(scn.parameters, scn.risk, scn.ties, args.tol)
+    lines = [scenario.meta_header(_meta(args, scn, "levers"))]
     lines.append("lever,param,search_from,search_to,critical\n")
     for f in findings:
         crit = repr(f.critical) if f.critical is not None else "no flip in range"
@@ -168,7 +157,7 @@ def cmd_simulate(args) -> int:
         args, scn, "simulate",
         {"n": args.n, "seed": args.seed, "generator": sim.generator},
     )
-    lines = [_meta_lines(meta)]
+    lines = [scenario.meta_header(meta)]
     lines.append(f"playouts: {sim.n}\n")
     lines.append("class,frequency,stderr,solved_probability\n")
     solved = analysis.class_distribution(tree, result)
@@ -208,7 +197,7 @@ def cmd_validate(args) -> int:
         print(f"  solver value:   {result.root_value}", file=sys.stderr)
         print(f"  oracle value:   {certified.canonical_root_value}", file=sys.stderr)
         return DISAGREEMENT
-    lines = [_meta_lines(_meta(args, scn, "validate"))]
+    lines = [scenario.meta_header(_meta(args, scn, "validate"))]
     lines.append(
         f"oracle agrees: canonical profile matches across "
         f"{len(certified.spe_profiles)} subgame-perfect profile(s)\n"
@@ -224,17 +213,11 @@ def cmd_validate(args) -> int:
 def cmd_export_tree(args) -> int:
     scn = _load(args)
     tree = build_game(scn.parameters)
-    result = solve(tree, scn.risk, scn.ties) if args.with_solution else None
     if args.pruned:
         tree = prune_zero(tree)
-        if result is not None:
-            result = solve(tree, scn.risk, scn.ties)
-    text = scenario.export_dot(tree, result)
-    meta = _meta(args, scn, "export-tree")
-    if meta:
-        header = "".join(f"// {k}: {v}\n" for k, v in meta.items())
-        text = header + text
-    _emit(text, args.out)
+    result = solve(tree, scn.risk, scn.ties) if args.with_solution else None
+    header = scenario.meta_header(_meta(args, scn, "export-tree"), "//")
+    _emit(header + scenario.export_dot(tree, result), args.out)
     return OK
 
 

@@ -15,6 +15,7 @@ than millions of tree walks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .solver import RISK_NEUTRAL, PAPER_TIES, RiskProfile, TiePolicy, preferred_on_tie, risk_transform
@@ -25,6 +26,7 @@ from .tree import (
     Player,
     StrategyProfile,
     Terminal,
+    decisions,
     node_id,
     validate_tree,
 )
@@ -52,20 +54,13 @@ class OracleResult:
     canonical_root_value: dict[Player, float]
 
 
-def _decision_list(root: Node) -> list[tuple[str, Decision]]:
-    out: list[tuple[str, Decision]] = []
-
-    def walk(node: Node, path: tuple[str, ...]) -> None:
-        if isinstance(node, Decision):
-            out.append((node_id(path), node))
-            for label, child in node.actions:
-                walk(child, path + (label,))
-        elif isinstance(node, Chance):
-            for label, _, child in node.branches:
-                walk(child, path + (label,))
-
-    walk(root, ())
-    return out
+def _label_sets(decs: list[tuple[str, Decision]], cap: int) -> list[list[str]]:
+    """Action labels per decision; raises EnumerationCapError past ``cap`` profiles."""
+    label_sets = [[label for label, _ in node.actions] for _, node in decs]
+    total = math.prod(map(len, label_sets))
+    if total > cap:
+        raise EnumerationCapError(f"{total} profiles exceed the cap of {cap}")
+    return label_sets
 
 
 def enumerate_profiles(root: Node, cap: int = DEFAULT_PROFILE_CAP):
@@ -73,15 +68,9 @@ def enumerate_profiles(root: Node, cap: int = DEFAULT_PROFILE_CAP):
 
     Raises EnumerationCapError if the profile count exceeds ``cap``.
     """
-    decs = _decision_list(root)
-    total = 1
-    for _, node in decs:
-        total *= len(node.actions)
-    if total > cap:
-        raise EnumerationCapError(f"{total} profiles exceed the cap of {cap}")
+    decs = decisions(root)
     ids = [nid for nid, _ in decs]
-    label_sets = [[label for label, _ in node.actions] for _, node in decs]
-    for combo in itertools.product(*label_sets):
+    for combo in itertools.product(*_label_sets(decs, cap)):
         yield dict(zip(ids, combo))
 
 
@@ -139,17 +128,11 @@ def brute_force_spe(
     if problems:
         raise ValueError("invalid tree: " + "; ".join(problems))
 
-    decs = _decision_list(root)
-    total = 1
-    for _, node in decs:
-        total *= len(node.actions)
-    if total > cap:
-        raise EnumerationCapError(f"{total} profiles exceed the cap of {cap}")
-
+    decs = decisions(root)
+    label_sets = _label_sets(decs, cap)
     tables = _build_tables(root, risk)
     ids = [nid for nid, _ in decs]
     index_of = {nid: i for i, nid in enumerate(ids)}
-    label_sets = [[label for label, _ in node.actions] for _, node in decs]
 
     # precompute, per decision node: positions of its subtree ids in a full
     # combo, same for each child, plus the owner's value index

@@ -232,6 +232,13 @@ def _terminal_rows(tree: Node, result: SolveResult) -> list[tuple[str, str, floa
     return rows
 
 
+def meta_header(meta: dict | None, comment: str = "#") -> str:
+    """One ``<comment> key: value`` line per metadata entry; empty without meta."""
+    if not meta:
+        return ""
+    return "".join(f"{comment} {k}: {v}\n" for k, v in meta.items())
+
+
 def render_result(
     result: SolveResult,
     tree: Node,
@@ -260,14 +267,10 @@ def render_result(
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     if fmt == "csv":
-        lines = []
-        if meta:
-            for k, v in meta.items():
-                lines.append(f"# {k}: {v}")
-        lines.append("terminal,class,probability,alice_payoff,tom_payoff")
+        lines = ["terminal,class,probability,alice_payoff,tom_payoff"]
         for nid, label, prob, alice, tom in _terminal_rows(tree, result):
             lines.append(f"{nid},{label},{prob!r},{_format_number(alice)},{_format_number(tom)}")
-        return "\n".join(lines) + "\n"
+        return meta_header(meta) + "\n".join(lines) + "\n"
 
     if fmt == "text":
         return _render_text(result, tree, meta)
@@ -298,9 +301,6 @@ def _decision_phrase(nid: str, action: str) -> str:
 
 def _render_text(result: SolveResult, tree: Node, meta: dict | None) -> str:
     lines = []
-    if meta:
-        for k, v in meta.items():
-            lines.append(f"# {k}: {v}")
     ra = result.root_value[Player.ALICE]
     rt = result.root_value[Player.TOM]
     lines.append(f"root value: alice={_format_number(ra)} tom={_format_number(rt)}")
@@ -324,7 +324,7 @@ def _render_text(result: SolveResult, tree: Node, meta: dict | None) -> str:
         )
     if not any_reached:
         lines.append("  (none)")
-    return "\n".join(lines) + "\n"
+    return meta_header(meta) + "\n".join(lines) + "\n"
 
 
 # --- DOT export --------------------------------------------------------------

@@ -130,12 +130,6 @@ def preferred_on_tie(candidates: list[str], rule: TieRule, active: str | None) -
     return passive[0] if passive else candidates[0]
 
 
-def _check_risk(risk: RiskProfile) -> None:
-    for alpha in (risk.alice, risk.tom):
-        if math.isnan(alpha) or math.isinf(alpha):
-            raise ValueError(f"risk coefficient must be finite, got {alpha!r}")
-
-
 def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_TIES) -> SolveResult:
     """Backward-induction SPE for a valid tree.
 
@@ -145,7 +139,6 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
     problems = validate_tree(root)
     if problems:
         raise ValueError("invalid tree: " + "; ".join(problems))
-    _check_risk(risk)
 
     alice, tom = Player.ALICE, Player.TOM
     alpha_alice, alpha_tom = risk.alice, risk.tom
@@ -229,7 +222,6 @@ def expected_utility(
     independent route to the same number ``solve`` assigns to the root.
     """
     check_profile(root, profile)
-    _check_risk(risk)
     totals = {p: 0.0 for p in PLAYERS}
     _eu_walk(root, (), 1.0, profile, risk, totals)
     return totals

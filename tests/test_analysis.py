@@ -120,6 +120,27 @@ class TestFindThreshold:
             find_threshold(params(), "w", 0.8, 0.2)
         with pytest.raises(AnalysisError):
             find_threshold(params(), "w", 0.0, 1.0, tol=-1.0)
+        with pytest.raises(AnalysisError, match="tol must be positive"):
+            find_threshold(params(), "w", 0.0, 1.0, tol=math.nan)
+
+    def test_flip_in_the_grids_rounding_gap_is_still_bisected(self):
+        # hi is the first float past the 1/6 flip, and the prescan grid's last
+        # point rounds to one float short of hi, so no grid segment changes
+        p = passive_tom(a=-1.0, e=5.0)
+        lo, hi = 0.0075, 0.16666666666666669
+        assert grid_scan_flip(p, "w", lo, hi, 64) == []
+        report = find_threshold(p, "w", lo, hi, tol=1e-6)
+        assert report.critical == 0.16666636308034263  # bisected over all of [lo, hi]
+        assert OutcomeClass.NO_LEAK in report.below_classes
+        assert OutcomeClass.NO_LEAK not in report.above_classes
+
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(self, baseline_noleak):
+        # a tol below the float spacing must end at two adjacent floats
+        p = baseline_noleak.parameters
+        report = find_threshold(p, "w", 0.0, 1.0, tol=1e-20)
+        assert report.critical == pytest.approx(1 / 1.14, abs=1e-15)
+        assert report.below_classes == find_threshold(p, "w", 0.0, 1.0).below_classes
+        assert report.below_classes != report.above_classes
 
     def test_report_sides_reproduce_at_critical_plus_minus_tol(self, baseline_noleak):
         report = find_threshold(baseline_noleak.parameters, "y", 0.0, 0.8, tol=1e-6)
@@ -175,6 +196,24 @@ class TestLeverReport:
     def test_leaking_base_is_an_error(self, baseline):
         with pytest.raises(AnalysisError, match="already solves to a leak"):
             lever_report(baseline.parameters)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tol_must_be_positive(self, baseline_noleak, tol):
+        with pytest.raises(AnalysisError, match="tol must be positive"):
+            lever_report(baseline_noleak.parameters, tol=tol)
+
+    def test_tol_below_float_spacing_ends(self, baseline_noleak):
+        findings = {f.param: f for f in lever_report(baseline_noleak.parameters, tol=1e-20)}
+        assert findings["w"].critical == pytest.approx(1 / 1.14, abs=1e-15)
+        assert findings["I"].critical == pytest.approx(-2.3, abs=1e-15)
+
+    def test_hopeless_blocking_has_no_block_lever(self, baseline_noleak):
+        # B = -inf is the block lever's limit, so there is nothing to scan
+        p = replace(baseline_noleak.parameters, B=-math.inf)
+        findings = lever_report(p)
+        shipped = lever_report(baseline_noleak.parameters)
+        assert findings[0].param == "B" and findings[0].critical is None
+        assert [f.critical for f in findings[1:]] == [f.critical for f in shipped[1:]]
 
 
 class TestSimulate:

@@ -1,15 +1,35 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import scenario_path
+from wbgame import cli
 from wbgame.cli import main
+from wbgame.model import build_game, prune_zero
+from wbgame.scenario import export_dot, load_scenario
+from wbgame.solver import solve
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TOL_COMMANDS = [["threshold", "--param", "w", "--lo", "0", "--hi", "1"], ["levers"]]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, seconds=60):
+    """Run the CLI in a child process, so a hang fails the test instead of stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "wbgame.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=seconds,
+    )
 
 
 class TestSolve:
@@ -113,6 +133,14 @@ class TestLevers:
         code, _, err = run(capsys, "levers", "--scenario", scenario_path("baseline"))
         assert code == 3
 
+    def test_hopeless_blocking_reports_no_flip(self, capsys, tmp_path):
+        text = Path(scenario_path("baseline_noleak")).read_text()
+        scn = tmp_path / "noblock.scn"
+        scn.write_text(text.replace("B = -8 ", "B = -inf "))
+        code, out, err = run(capsys, "levers", "--scenario", str(scn), "--no-meta")
+        assert code == 0, err
+        assert "publish-faster,B,-inf,-1000.0,no flip in range\n" in out
+
 
 class TestSimulate:
     def test_runs_and_reports(self, capsys):
@@ -168,11 +196,21 @@ class TestThresholdValidation:
         assert "invalid bracket" in err
 
     def test_bad_tol_exits_2(self, capsys):
-        code, _, _ = run(
-            capsys, "threshold", "--scenario", scenario_path("baseline_noleak"),
-            "--param", "w", "--lo", "0", "--hi", "1", "--tol", "-1",
-        )
-        assert code == 2
+        for command in TOL_COMMANDS:
+            for tol in ("-1", "0", "nan"):
+                code, _, err = run(
+                    capsys, *command, "--scenario", scenario_path("baseline_noleak"),
+                    "--tol", tol,
+                )
+                assert code == 2, (command, tol)
+                assert "--tol must be positive" in err
+
+    @pytest.mark.parametrize("command", TOL_COMMANDS)
+    def test_tol_below_float_spacing_ends(self, command):
+        proc = run_child(*command, "--scenario", scenario_path("baseline_noleak"),
+                         "--tol", "1e-20", "--no-meta")
+        assert proc.returncode == 0, proc.stderr
+        assert "0.877192982456140" in proc.stdout
 
 
 class TestExportTree:
@@ -193,6 +231,18 @@ class TestExportTree:
             "--pruned", "--no-meta",
         )
         assert pruned.count("[shape=") < full.count("[shape=")
+
+    def test_pruned_with_solution_solves_the_pruned_tree_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a: calls.append(a) or solve(*a))
+        _, out, _ = run(
+            capsys, "export-tree", "--scenario", scenario_path("weinstein_post"),
+            "--pruned", "--with-solution", "--no-meta",
+        )
+        scn = load_scenario(scenario_path("weinstein_post"))
+        pruned = prune_zero(build_game(scn.parameters))
+        assert len(calls) == 1
+        assert out == export_dot(pruned, solve(pruned, scn.risk, scn.ties))
 
     def test_with_solution_highlights(self, capsys):
         _, out, _ = run(

@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 from dataclasses import fields, replace
 from pathlib import Path
@@ -158,12 +159,14 @@ def threshold_digests() -> dict[str, dict[str, str]]:
 
 
 def lever_bases():
-    """Every shipped scenario that solves to no leak, plus a base where Tom
-    blocks, so the block lever has a flip to find."""
+    """Every shipped scenario that solves to no leak, as shipped and with
+    blocking hopeless (B = -inf), plus a base where Tom blocks, so the block
+    lever has a flip to find."""
     for name in SCENARIOS:
         p = load_scenario(scenario_path(name)).parameters
         if not alice_leaks(solve(build_game(p))):
             yield name, p
+            yield f"{name}/B=-inf", replace(p, B=-math.inf)
     yield "tom-blocks", params(
         w=1.0, a=0.0, b=-1.0, x=0.0, y=1.0, z=1.0,
         e=5.0, f=4.0, B=-1.0, E=-2.0, F=-9.0, G=-9.0, I=-3.0, H=-1.0,

@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from test_model import params
+from wbgame.model import build_game
+from wbgame.oracle import brute_force_spe
 from wbgame.solver import (
     RiskProfile,
     TieRule,
@@ -92,6 +96,21 @@ def test_non_finite_risk_rejected():
     tree = terminal("t", 0.0, 0.0)
     with pytest.raises(ValueError):
         solve(tree, RiskProfile(alice=float("nan")))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("player", ["alice", "tom"])
+@pytest.mark.parametrize("entry", ["solve", "expected_utility", "brute_force_spe"])
+def test_non_finite_risk_message_from_every_entry_point(entry, player, alpha):
+    tree = build_game(params())
+    risk = RiskProfile(**{player: alpha})
+    calls = {
+        "solve": lambda: solve(tree, risk),
+        "expected_utility": lambda: expected_utility(tree, solve(tree).profile, risk),
+        "brute_force_spe": lambda: brute_force_spe(tree, risk),
+    }
+    with pytest.raises(ValueError, match=r"^risk coefficient must be finite, got "):
+        calls[entry]()
 
 
 class TestRiskTransform:
