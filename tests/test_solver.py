@@ -290,3 +290,34 @@ def test_solve_is_deterministic(baseline):
     r2 = solve(tree, baseline.risk, baseline.ties)
     assert r1 == r2
     assert render_result(r1, tree, "json") == render_result(r2, tree, "json")
+
+
+@pytest.mark.parametrize(
+    "nid, expected",
+    [
+        # on the equilibrium path: Tom is reached here with probability 0.12
+        (
+            "leak/trust/proceed/hold/world-tom",
+            ["leak/trust/proceed/hold/world-tom: switching to 'drop' raises tom from -0.5 to 0.5"],
+        ),
+        # off the path: Tom holds, so the censor branch is never reached
+        (
+            "leak/trust/proceed/censor/world-neutral",
+            ["leak/trust/proceed/censor/world-neutral: switching to 'drop' raises tom from -3.5 to -2.5"],
+        ),
+        # a bad pursuit also makes censoring look better one level up
+        (
+            "leak/trust/proceed/hold/world-duncan",
+            [
+                "leak/trust/proceed: switching to 'censor' raises tom from -4.5 to -4.15",
+                "leak/trust/proceed/hold/world-duncan: switching to 'drop' raises tom from -7.0 to -5.0",
+            ],
+        ),
+    ],
+)
+def test_one_shot_violations_finds_a_worse_pursuit(baseline, nid, expected):
+    tree = build_game(baseline.parameters)
+    profile = dict(solve(tree, baseline.risk, baseline.ties).profile)
+    assert profile[nid] == "drop"
+    profile[nid] = "pursue"
+    assert one_shot_violations(tree, profile, baseline.risk) == expected
