@@ -14,7 +14,6 @@ from .tree import (
     chance,
     count_nodes,
     decision,
-    reachable_probability,
     terminal,
     validate_tree,
 )

@@ -28,7 +28,7 @@ from .solver import (
     TiePolicy,
     solve,
 )
-from .tree import Decision, Node, Player, StrategyProfile, Terminal, node_id, terminals
+from .tree import Decision, Node, Player, StrategyProfile, Terminal, chosen_children, terminals
 
 
 class AnalysisError(ValueError):
@@ -81,12 +81,9 @@ def alice_leaks(result: SolveResult) -> bool:
     return result.profile.get(model.ROOT_NODE_ID) == "leak"
 
 
-SWEEPABLE = model.PARAMETER_NAMES
-
-
 def _with_param(base: GameParameters, param: str, value: float) -> GameParameters:
-    if param not in SWEEPABLE:
-        raise AnalysisError(f"unknown parameter {param!r}; expected one of {SWEEPABLE}")
+    if param not in model.PARAMETER_NAMES:
+        raise AnalysisError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
     return replace(base, **{param: value})
 
 
@@ -130,8 +127,8 @@ def sweep(
     another in grid order: the work is pure Python and holds the interpreter
     lock throughout, so threads would only add overhead.
     """
-    if param not in SWEEPABLE:
-        raise AnalysisError(f"unknown parameter {param!r}; expected one of {SWEEPABLE}")
+    if param not in model.PARAMETER_NAMES:
+        raise AnalysisError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
     if len(grid) == 0:
         raise AnalysisError("empty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -184,12 +181,13 @@ def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, ob
 
 
 def _flip_search(key, lo: float, hi: float, tol: float, prescan: int,
-                 key_lo: object = None) -> tuple[float | None, int]:
+                 key_lo: object = None) -> tuple[float | None, float, int]:
     """Bisect the first change of ``key`` seen by a ``prescan``-point grid on [lo, hi].
 
-    Returns (that point, or None if the scan sees no change; changing segments).
-    Stops at ``tol`` or the float spacing. ``key_lo`` (key(lo) != key(hi) known)
-    bisects all of [lo, hi] if the change hides past the grid's rounded last point.
+    Returns (that point, or None if the scan sees no change; the final
+    bracket's width; changing segments). Stops at ``tol`` or the float
+    spacing. ``key_lo`` (key(lo) != key(hi) known) bisects all of [lo, hi] if
+    the change hides past the grid's rounded last point.
     """
     segments = _scan(key, lo, hi, prescan)
     if segments:
@@ -197,7 +195,7 @@ def _flip_search(key, lo: float, hi: float, tol: float, prescan: int,
     elif key_lo is not None:
         a, b, key_a = lo, hi, key_lo
     else:
-        return None, 0
+        return None, 0.0, 0
     while abs(b - a) > tol:
         mid = (a + b) / 2.0
         if mid == a or mid == b:
@@ -206,7 +204,7 @@ def _flip_search(key, lo: float, hi: float, tol: float, prescan: int,
             a = mid
         else:
             b = mid
-    return (a + b) / 2.0, len(segments)
+    return (a + b) / 2.0, b - a, len(segments)
 
 
 def grid_scan_flip(
@@ -252,11 +250,12 @@ def find_threshold(
         raise AnalysisError(
             f"outcome classes match at both ends of [{lo!r}, {hi!r}]; nothing to bracket"
         )
-    critical, flips = _flip_search(support, lo, hi, tol, prescan, sig_lo)
+    critical, width, flips = _flip_search(support, lo, hi, tol, prescan, sig_lo)
     # a tol below the float spacing would probe the critical point itself
     below = support(max(lo, min(critical - tol, math.nextafter(critical, -math.inf))))
     above = support(min(hi, max(critical + tol, math.nextafter(critical, math.inf))))
-    return ThresholdReport(param, lo, hi, critical, tol, below, above, flips <= 1)
+    # report the accuracy reached, which the float spacing can make wider than tol
+    return ThresholdReport(param, lo, hi, critical, max(tol, width), below, above, flips <= 1)
 
 
 LEVER_PUBLISH_FASTER = "publish-faster"
@@ -291,6 +290,9 @@ def lever_report(
     """
     if not tol > 0:
         raise AnalysisError(f"tol must be positive, got {tol!r}")
+    for name, floor in (("block_floor", block_floor), ("pursuit_floor", pursuit_floor)):
+        if not math.isfinite(floor):
+            raise AnalysisError(f"{name} must be finite, got {floor!r}")
     _, base_result = _solve_point(base, "w", base.w, risk, ties)
     if alice_leaks(base_result):
         raise AnalysisError("base scenario already solves to a leak; no lever needed")
@@ -304,7 +306,7 @@ def lever_report(
     for lever, param, start, end in searches:
         critical = None
         if start != end and not math.isinf(start):  # else the lever is at its limit
-            critical, _ = _flip_search(
+            critical, _, _ = _flip_search(
                 lambda v: alice_leaks(_solve_point(base, param, v, risk, ties)[1]),
                 start, end, tol, 64,
             )
@@ -335,48 +337,43 @@ def simulate(tree: Node, profile: StrategyProfile, n: int, seed: int) -> Simulat
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    from .tree import check_profile
-
-    check_profile(tree, profile)
+    chosen = chosen_children(tree, profile)
     rng = random.Random(seed)
 
-    payoff_table = {nid: node.payoffs for nid, node in terminals(tree)}
-    label_table = {nid: node.label for nid, node in terminals(tree)}
-    counts: Counter[str] = Counter()
+    counts: Counter[int] = Counter()  # id(terminal) -> playouts ending there
     sums = {p: 0.0 for p in (Player.ALICE, Player.TOM)}
     sumsq = {p: 0.0 for p in (Player.ALICE, Player.TOM)}
 
     for _ in range(n):
         node: Node = tree
-        path: tuple[str, ...] = ()
         while not isinstance(node, Terminal):
             if isinstance(node, Decision):
-                step = profile[node_id(path)]
-                node = dict(node.actions)[step]
+                node = chosen[id(node)]
             else:
                 u = rng.random()
                 acc = 0.0
-                step = None
-                for label, prob, child in node.branches:
+                for _, prob, child in node.branches:
                     if prob <= 0.0:
                         continue
                     acc += prob
                     if u < acc:
-                        step, node = label, child
+                        node = child
                         break
-                if step is None:  # float round-off at the top of the CDF
-                    step, _, node = [b for b in node.branches if b[1] > 0.0][-1]
-            path = path + (step,)
-        nid = node_id(path)
-        counts[nid] += 1
-        for p, v in payoff_table[nid].items():
+                else:  # float round-off at the top of the CDF
+                    node = [b for b in node.branches if b[1] > 0.0][-1][2]
+        counts[id(node)] += 1
+        for p, v in node.payoffs.items():
             sums[p] += v
             sumsq[p] += v * v
 
+    by_id = {id(node): (nid, node) for nid, node in terminals(tree)}
+    terminal_counts = {}
     class_freq = {cls: 0.0 for cls in OutcomeClass}
-    for nid, k in counts.items():
+    for key, k in counts.items():
+        nid, node = by_id[key]
+        terminal_counts[nid] = k
         try:
-            cls = classify_terminal(label_table[nid])
+            cls = classify_terminal(node.label)
         except ValueError:
             continue  # generic tree without class labels
         class_freq[cls] += k / n
@@ -396,7 +393,7 @@ def simulate(tree: Node, profile: StrategyProfile, n: int, seed: int) -> Simulat
         n=n,
         seed=seed,
         generator=GENERATOR_NAME,
-        terminal_counts=dict(sorted(counts.items())),
+        terminal_counts=dict(sorted(terminal_counts.items())),
         class_frequencies=class_freq,
         class_standard_errors=class_se,
         mean_payoffs=means,

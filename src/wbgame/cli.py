@@ -21,13 +21,9 @@ from .analysis import AnalysisError, OutcomeClass
 from .model import build_game, prune_zero
 from .solver import solve
 from .tree import Player
-from .scenario import ScenarioError, Scenario
+from .scenario import ScenarioError, Scenario, format_number
 
 OK, USAGE_ERROR, ANALYSIS_ERROR, DISAGREEMENT = 0, 2, 3, 4
-
-
-def _fmt(v: float) -> str:
-    return scenario._format_number(v)
 
 
 def _meta(args, scn: Scenario, command: str, extra: dict | None = None) -> dict | None:
@@ -39,10 +35,10 @@ def _meta(args, scn: Scenario, command: str, extra: dict | None = None) -> dict 
         "generated": datetime.now(timezone.utc).isoformat(),
         "scenario": scn.name or args.scenario,
     }
-    params = {k: _fmt(getattr(scn.parameters, k)) for k in scenario.NUMERIC_KEYS}
+    params = {k: format_number(getattr(scn.parameters, k)) for k in model.PARAMETER_NAMES}
     params["variant"] = scn.parameters.variant.value
     meta["parameters"] = " ".join(f"{k}={v}" for k, v in params.items())
-    meta["risk"] = f"alice={_fmt(scn.risk.alice)} tom={_fmt(scn.risk.tom)}"
+    meta["risk"] = f"alice={format_number(scn.risk.alice)} tom={format_number(scn.risk.tom)}"
     meta["ties"] = f"alice={scn.ties.alice.value} tom={scn.ties.tom.value}"
     if extra:
         meta.update(extra)
@@ -102,7 +98,7 @@ def cmd_sweep(args) -> int:
         probs = ",".join(repr(row.class_probabilities[c]) for c in OutcomeClass)
         lines.append(
             f"{row.value!r},true,,{str(row.alice_leaks).lower()},"
-            f"{_fmt(row.root_alice)},{_fmt(row.root_tom)},{probs}\n"
+            f"{format_number(row.root_alice)},{format_number(row.root_tom)},{probs}\n"
         )
     _emit("".join(lines), args.out)
     return OK
@@ -170,7 +166,7 @@ def cmd_simulate(args) -> int:
     for player in (Player.ALICE, Player.TOM):
         lines.append(
             f"{player.value},{sim.mean_payoffs[player]!r},"
-            f"{sim.payoff_standard_errors[player]!r},{_fmt(result.root_value[player])}\n"
+            f"{sim.payoff_standard_errors[player]!r},{format_number(result.root_value[player])}\n"
         )
     _emit("".join(lines), args.out)
     return OK
@@ -203,8 +199,8 @@ def cmd_validate(args) -> int:
         f"{len(certified.spe_profiles)} subgame-perfect profile(s)\n"
     )
     lines.append(
-        f"root value: alice={_fmt(result.root_value[Player.ALICE])} "
-        f"tom={_fmt(result.root_value[Player.TOM])}\n"
+        f"root value: alice={format_number(result.root_value[Player.ALICE])} "
+        f"tom={format_number(result.root_value[Player.TOM])}\n"
     )
     _emit("".join(lines), args.out)
     return OK

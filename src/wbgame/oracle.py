@@ -6,10 +6,11 @@ rooted at that node -- in a finite perfect-information tree that condition is
 exactly subgame perfection. Ties are then filtered with the same tie policy
 the solver uses, leaving one canonical profile that must match ``solve``.
 
-Per-subtree expected utilities are tabulated once per call (keyed by the
-restriction of a profile to the subtree's decisions), so checking all
-profiles of the standard 9-decision tree costs a few thousand lookups rather
-than millions of tree walks.
+Per-subtree expected utilities are tabulated once per call: one table per
+node, keyed by ``id(node)`` (sound because the tree is validated first), that
+maps the restriction of a profile to the subtree's decisions to the
+subtree's value. Checking all profiles of the standard 9-decision tree then
+costs a few thousand lookups rather than millions of tree walks.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .tree import (
     StrategyProfile,
     Terminal,
     decisions,
-    node_id,
-    validate_tree,
+    require_valid,
 )
 
 DEFAULT_PROFILE_CAP = 2**20
@@ -76,12 +76,12 @@ def enumerate_profiles(root: Node, cap: int = DEFAULT_PROFILE_CAP):
 
 def _build_tables(
     root: Node, risk: RiskProfile
-) -> dict[str, tuple[tuple[str, ...], dict[tuple[str, ...], tuple[float, float]]]]:
-    """Per node: (decision ids in its subtree, sub-profile -> (alice, tom) EU)."""
-    tables: dict[str, tuple[tuple[str, ...], dict[tuple[str, ...], tuple[float, float]]]] = {}
+) -> dict[int, tuple[tuple[int, ...], dict[tuple[str, ...], tuple[float, float]]]]:
+    """Per ``id(node)``: (``id`` of each decision in its subtree, in preorder,
+    sub-profile -> (alice, tom) EU)."""
+    tables: dict[int, tuple[tuple[int, ...], dict[tuple[str, ...], tuple[float, float]]]] = {}
 
-    def walk(node: Node, path: tuple[str, ...]):
-        nid = node_id(path)
+    def walk(node: Node):
         if isinstance(node, Terminal):
             value = (
                 risk_transform(node.payoffs[Player.ALICE], risk.alice),
@@ -89,8 +89,8 @@ def _build_tables(
             )
             entry = ((), {(): value})
         elif isinstance(node, Chance):
-            kids = [(prob, walk(child, path + (label,))) for label, prob, child in node.branches]
-            ids: tuple[str, ...] = tuple(i for _, (kid_ids, _) in kids for i in kid_ids)
+            kids = [(prob, walk(child)) for _, prob, child in node.branches]
+            ids: tuple[int, ...] = tuple(i for _, (kid_ids, _) in kids for i in kid_ids)
             table: dict[tuple[str, ...], tuple[float, float]] = {}
             for rows in itertools.product(*[kid_table.items() for _, (_, kid_table) in kids]):
                 key = tuple(k for kid_key, _ in rows for k in kid_key)
@@ -102,18 +102,18 @@ def _build_tables(
                 table[key] = (alice, tom)
             entry = (ids, table)
         else:
-            kids = [(label, walk(child, path + (label,))) for label, child in node.actions]
-            ids = (nid,) + tuple(i for _, (kid_ids, _) in kids for i in kid_ids)
+            kids = [(label, walk(child)) for label, child in node.actions]
+            ids = (id(node),) + tuple(i for _, (kid_ids, _) in kids for i in kid_ids)
             table = {}
             for rows in itertools.product(*[kid_table.items() for _, (_, kid_table) in kids]):
                 key_rest = tuple(k for kid_key, _ in rows for k in kid_key)
                 for idx, (label, _) in enumerate(kids):
                     table[(label,) + key_rest] = rows[idx][1]
             entry = (ids, table)
-        tables[nid] = entry
+        tables[id(node)] = entry
         return entry
 
-    walk(root, ())
+    walk(root)
     return tables
 
 
@@ -124,44 +124,41 @@ def brute_force_spe(
     cap: int = DEFAULT_PROFILE_CAP,
 ) -> OracleResult:
     """Enumerate profiles and certify subgame perfection by deviation checks."""
-    problems = validate_tree(root)
-    if problems:
-        raise ValueError("invalid tree: " + "; ".join(problems))
+    require_valid(root)
 
     decs = decisions(root)
     label_sets = _label_sets(decs, cap)
     tables = _build_tables(root, risk)
     ids = [nid for nid, _ in decs]
-    index_of = {nid: i for i, nid in enumerate(ids)}
+    index_of = {id(node): i for i, (_, node) in enumerate(decs)}
 
-    # precompute, per decision node: positions of its subtree ids in a full
-    # combo, same for each child, plus the owner's value index
+    # precompute, per decision node: positions of its subtree decisions in a
+    # full combo, same for each child, plus the owner's value index
     checks = []
-    for nid, node in decs:
-        own_ids, own_table = tables[nid]
+    for index, (_, node) in enumerate(decs):
+        own_ids, own_table = tables[id(node)]
         own_pos = tuple(index_of[i] for i in own_ids)
         kids = []
         for label, child in node.actions:
-            child_id = f"{nid}/{label}" if nid else label
-            kid_ids, kid_table = tables[child_id]
+            kid_ids, kid_table = tables[id(child)]
             kids.append((label, tuple(index_of[i] for i in kid_ids), kid_table))
         checks.append(
-            (nid, _PLAYER_INDEX[node.owner], own_pos, own_table, kids, node.active_action)
+            (index, _PLAYER_INDEX[node.owner], own_pos, own_table, kids, node.active_action)
         )
 
     spe_profiles: list[StrategyProfile] = []
     root_values: list[dict[Player, float]] = []
     canonical: list[StrategyProfile] = []
     canonical_values: list[dict[Player, float]] = []
-    root_ids, root_table = tables[""]
+    root_ids, root_table = tables[id(root)]
     root_pos = tuple(index_of[i] for i in root_ids)
 
     for combo in itertools.product(*label_sets):
         is_spe = True
         is_canonical = True
-        for nid, owner_idx, own_pos, own_table, kids, active in checks:
+        for index, owner_idx, own_pos, own_table, kids, active in checks:
             base = own_table[tuple(combo[i] for i in own_pos)][owner_idx]
-            chosen = combo[index_of[nid]]
+            chosen = combo[index]
             best = base
             winners = []
             for label, kid_pos, kid_table in kids:

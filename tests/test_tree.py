@@ -13,8 +13,6 @@ from wbgame.tree import (
     count_nodes,
     decision,
     iter_nodes,
-    node_id,
-    reachable_probability,
     terminal,
     terminal_reach_probabilities,
     terminals,
@@ -65,6 +63,24 @@ class TestValidateTree:
         shared = leaf()
         tree = decision(Player.TOM, "d", [("l", shared), ("r", shared)])
         assert any("more than one path" in v for v in validate_tree(tree))
+
+    @pytest.mark.parametrize("walker", ["simulate", "expected_utility", "one_shot_violations", "export_dot"])
+    def test_walkers_reject_a_shared_node_object(self, walker):
+        # walkers key nodes by object, so an aliased node must not reach them
+        from wbgame.analysis import simulate
+        from wbgame.scenario import export_dot
+        from wbgame.solver import expected_utility, one_shot_violations
+
+        shared = terminal("end", 1.0, 0.0)
+        tree = decision(Player.ALICE, "d", [("l", shared), ("r", shared)])
+        calls = {
+            "simulate": lambda: simulate(tree, {"": "l"}, 10, seed=1),
+            "expected_utility": lambda: expected_utility(tree, {"": "l"}),
+            "one_shot_violations": lambda: one_shot_violations(tree, {"": "l"}),
+            "export_dot": lambda: export_dot(tree),
+        }
+        with pytest.raises(ValueError, match="^invalid tree: r: node object reachable by more than one path$"):
+            calls[walker]()
 
     def test_every_violation_message_verbatim(self):
         shared = chance("s", [("h", 0.5, leaf()), ("t", 0.5, leaf())])
@@ -126,35 +142,23 @@ class TestCountNodes:
         assert counts.terminal == len(terminals(tree))
 
 
-class TestReachableProbability:
+class TestTerminalReachProbabilities:
     def make(self, w=0.3):
         inner = chance("trust", [("trust", 1.0 - w, leaf(label="in")), ("no-trust", w, leaf(label="out"))])
         return decision(Player.ALICE, "root", [("leak", inner), ("stay", leaf(label="quiet"))])
 
-    def test_root_is_one(self):
-        tree = self.make()
-        profile = {"": "leak"}
-        assert reachable_probability(tree, profile, "") == 1.0
+    def test_chance_multiplies_and_unchosen_action_is_zero(self):
+        reach = terminal_reach_probabilities(self.make(w=0.3), {"": "leak"})
+        assert reach == {"leak/trust": 0.7, "leak/no-trust": 0.3, "stay": 0.0}
 
-    def test_unchosen_action_is_zero(self):
-        tree = self.make()
-        assert reachable_probability(tree, {"": "leak"}, "stay") == 0.0
-
-    def test_chance_probability_multiplies(self):
-        tree = self.make(w=0.3)
-        assert reachable_probability(tree, {"": "leak"}, "leak/no-trust") == pytest.approx(0.3, abs=1e-15)
-
-    def test_unknown_target_raises(self):
-        tree = self.make()
-        with pytest.raises(KeyError):
-            reachable_probability(tree, {"": "leak"}, "nope")
-
-    def test_profile_domain_must_match(self):
-        tree = self.make()
-        with pytest.raises(ValueError):
-            reachable_probability(tree, {}, "")
-        with pytest.raises(ValueError):
-            reachable_probability(tree, {"": "leak", "bogus": "x"}, "")
+    @pytest.mark.parametrize("profile, message", [
+        ({}, r"missing \[''\], extra \[\]"),
+        ({"": "leak", "bogus": "x"}, r"missing \[\], extra \['bogus'\]"),
+        ({"": "jump"}, "unknown action 'jump' at ''"),
+    ])
+    def test_profile_must_fit_the_tree(self, profile, message):
+        with pytest.raises(ValueError, match=message):
+            terminal_reach_probabilities(self.make(), profile)
 
 
 # --- random-tree property tests ---------------------------------------------
@@ -213,8 +217,3 @@ def test_iter_nodes_ids_with_empty_labels():
         ("b", leaf()),
     ])
     assert [nid for nid, _ in iter_nodes(tree)] == ["", "", "/", "/h", "b"]
-
-
-def test_node_id_joins_path():
-    assert node_id(()) == ""
-    assert node_id(("leak", "trust")) == "leak/trust"
