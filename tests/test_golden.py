@@ -11,7 +11,11 @@ digest by ``repr``, so a match means every float is bit-identical.
 range (below) has different outcome support at its two ends, plus every
 ``LeverFinding`` of ``lever_report`` on each non-leaking base. Floats are
 stored by ``repr``; class sets as their sorted values, since set order
-follows string hashing.
+follows string hashing. ``golden/certify_digests.json`` holds, per criterion-1
+game of the solve digests, a truncated SHA-256 of each ``OracleResult`` field
+(every subgame-perfect profile in order, their root values, the canonical
+profile and its value) and of each ``SimulationResult`` field for
+``CERTIFY_PLAYOUTS`` playouts of the solved profile at a fixed seed.
 
 Regenerate only when an output change is intended::
 
@@ -37,9 +41,11 @@ from wbgame.analysis import (
     find_threshold,
     lever_report,
     outcome_support,
+    simulate,
 )
 from wbgame.cli import main
 from wbgame.model import PARAMETER_NAMES, build_game
+from wbgame.oracle import brute_force_spe
 from wbgame.scenario import load_scenario
 from wbgame.solver import RISK_NEUTRAL, RiskProfile, solve
 from wbgame.tree import Player
@@ -47,6 +53,9 @@ from wbgame.tree import Player
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DIGEST_FILE = GOLDEN_DIR / "solve_digests.json"
 FLIP_FILE = GOLDEN_DIR / "flip_digests.json"
+CERTIFY_FILE = GOLDEN_DIR / "certify_digests.json"
+CERTIFY_PLAYOUTS = 1000
+CERTIFY_SEED = 2024
 N_GAMES = 200
 RISK_SEED = 7919
 
@@ -97,14 +106,19 @@ def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def result_digest(result) -> dict[str, str]:
-    def players(values):
-        return f"{values[Player.ALICE]!r} {values[Player.TOM]!r}"
+def _players(values) -> str:
+    return f"{values[Player.ALICE]!r} {values[Player.TOM]!r}"
 
+
+def _profile(profile) -> str:
+    return " ".join(f"{nid}={a}" for nid, a in sorted(profile.items()))
+
+
+def result_digest(result) -> dict[str, str]:
     return {
         "profile": _sha(f"{nid}={a}" for nid, a in sorted(result.profile.items())),
-        "node_values": _sha(f"{nid}:{players(v)}" for nid, v in sorted(result.node_values.items())),
-        "root_value": _sha([players(result.root_value)]),
+        "node_values": _sha(f"{nid}:{_players(v)}" for nid, v in sorted(result.node_values.items())),
+        "root_value": _sha([_players(result.root_value)]),
         "outcome_distribution": _sha(
             f"{nid}={p!r}" for nid, p in sorted(result.outcome_distribution.items())
         ),
@@ -113,6 +127,31 @@ def result_digest(result) -> dict[str, str]:
 
 def digests(mode: str) -> list[dict[str, str]]:
     return [result_digest(solve(build_game(p), risk)) for p, risk in _games(mode)]
+
+
+def certify_digest(tree, risk) -> dict[str, str]:
+    oracle = brute_force_spe(tree, risk)
+    sim = simulate(tree, solve(tree, risk).profile, CERTIFY_PLAYOUTS, CERTIFY_SEED)
+
+    def by_class(values):
+        return [f"{cls.value}={v!r}" for cls, v in values.items()]
+
+    return {
+        "spe_profiles": _sha(map(_profile, oracle.spe_profiles)),
+        "root_values": _sha(map(_players, oracle.root_values)),
+        "canonical": _sha([_profile(oracle.canonical)]),
+        "canonical_root_value": _sha([_players(oracle.canonical_root_value)]),
+        "sim_header": _sha([f"{sim.n} {sim.seed} {sim.generator}"]),
+        "terminal_counts": _sha(f"{nid}={k}" for nid, k in sim.terminal_counts.items()),
+        "class_frequencies": _sha(by_class(sim.class_frequencies)),
+        "class_standard_errors": _sha(by_class(sim.class_standard_errors)),
+        "mean_payoffs": _sha([_players(sim.mean_payoffs)]),
+        "payoff_standard_errors": _sha([_players(sim.payoff_standard_errors)]),
+    }
+
+
+def certify_digests(mode: str) -> list[dict[str, str]]:
+    return [certify_digest(build_game(p), risk) for p, risk in _games(mode)]
 
 
 SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.scn"))
@@ -198,6 +237,14 @@ def test_solve_results_match_digests(mode):
         assert got == want, f"{mode} game {i}"
 
 
+@pytest.mark.parametrize("mode", DIGEST_MODES)
+def test_certify_results_match_digests(mode):
+    pinned = json.loads(CERTIFY_FILE.read_text())[mode]
+    assert len(pinned) == N_GAMES
+    for i, (got, want) in enumerate(zip(certify_digests(mode), pinned)):
+        assert got == want, f"{mode} game {i}"
+
+
 def test_flip_results_match_digests():
     pinned = json.loads(FLIP_FILE.read_text())
     got = flip_digests()
@@ -211,12 +258,13 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in GOLDEN_COMMANDS.items():
         (GOLDEN_DIR / f"{name}.txt").write_bytes(cli_output(argv).encode())
-    DIGEST_FILE.write_text(
-        "{\n"
-        + ",\n".join(
-            f'"{mode}": [\n' + ",\n".join(json.dumps(d) for d in digests(mode)) + "\n]"
-            for mode in DIGEST_MODES
+    for path, make in ((DIGEST_FILE, digests), (CERTIFY_FILE, certify_digests)):
+        path.write_text(
+            "{\n"
+            + ",\n".join(
+                f'"{mode}": [\n' + ",\n".join(json.dumps(d) for d in make(mode)) + "\n]"
+                for mode in DIGEST_MODES
+            )
+            + "\n}\n"
         )
-        + "\n}\n"
-    )
     FLIP_FILE.write_text(json.dumps(flip_digests(), indent=1) + "\n")
