@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -28,7 +29,16 @@ from .solver import (
     TiePolicy,
     solve,
 )
-from .tree import Decision, Node, Player, StrategyProfile, Terminal, chosen_children, terminals
+from .tree import (
+    Decision,
+    Node,
+    Player,
+    StrategyProfile,
+    Terminal,
+    chosen_children,
+    iter_nodes,
+    terminals,
+)
 
 
 class AnalysisError(ValueError):
@@ -338,39 +348,53 @@ def simulate(tree: Node, profile: StrategyProfile, n: int, seed: int) -> Simulat
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     chosen = chosen_children(tree, profile)
-    rng = random.Random(seed)
 
-    counts: Counter[int] = Counter()  # id(terminal) -> playouts ending there
-    sums = {p: 0.0 for p in (Player.ALICE, Player.TOM)}
-    sumsq = {p: 0.0 for p in (Player.ALICE, Player.TOM)}
-
-    for _ in range(n):
-        node: Node = tree
-        while not isinstance(node, Terminal):
-            if isinstance(node, Decision):
-                node = chosen[id(node)]
-            else:
-                u = rng.random()
-                acc = 0.0
-                for _, prob, child in node.branches:
-                    if prob <= 0.0:
-                        continue
+    # one step per node, children before parents: a terminal's is (None, its
+    # index, its payoffs); a chance node's is (cumulative thresholds of its
+    # positive branches, the steps of those branches' children plus the last
+    # one again for round-off at the top of the CDF); a decision's is the
+    # step of its chosen child
+    steps: dict[int, tuple] = {}
+    reached: list[tuple[str, Terminal]] = []
+    for nid, node in reversed(list(iter_nodes(tree))):
+        kind = type(node)
+        if kind is Terminal:
+            step = (None, len(reached), node.payoffs[Player.ALICE], node.payoffs[Player.TOM])
+            reached.append((nid, node))
+        elif kind is Decision:
+            step = steps[id(chosen[id(node)])]
+        else:
+            acc = 0.0
+            thresholds, targets = [], []
+            for _, prob, child in node.branches:
+                if prob > 0.0:
                     acc += prob
-                    if u < acc:
-                        node = child
-                        break
-                else:  # float round-off at the top of the CDF
-                    node = [b for b in node.branches if b[1] > 0.0][-1][2]
-        counts[id(node)] += 1
-        for p, v in node.payoffs.items():
-            sums[p] += v
-            sumsq[p] += v * v
+                    thresholds.append(acc)
+                    targets.append(steps[id(child)])
+            step = (tuple(thresholds), (*targets, targets[-1]))
+        steps[id(node)] = step
+    start = steps[id(tree)]
 
-    by_id = {id(node): (nid, node) for nid, node in terminals(tree)}
+    draw = random.Random(seed).random
+    counts: Counter[int] = Counter()  # terminal index -> playouts ending there
+    alice_sum = tom_sum = alice_sumsq = tom_sumsq = 0.0
+    for _ in range(n):
+        step = start
+        while step[0] is not None:
+            step = step[1][bisect_right(step[0], draw())]
+        _, index, alice, tom = step
+        counts[index] += 1
+        alice_sum += alice
+        tom_sum += tom
+        alice_sumsq += alice * alice
+        tom_sumsq += tom * tom
+    sums = {Player.ALICE: alice_sum, Player.TOM: tom_sum}
+    sumsq = {Player.ALICE: alice_sumsq, Player.TOM: tom_sumsq}
+
     terminal_counts = {}
     class_freq = {cls: 0.0 for cls in OutcomeClass}
-    for key, k in counts.items():
-        nid, node = by_id[key]
+    for index, k in counts.items():  # first-reached order, as the sums were taken
+        nid, node = reached[index]
         terminal_counts[nid] = k
         try:
             cls = classify_terminal(node.label)

@@ -11,6 +11,15 @@ node, keyed by ``id(node)`` (sound because the tree is validated first), that
 maps the restriction of a profile to the subtree's decisions to the
 subtree's value. Checking all profiles of the standard 9-decision tree then
 costs a few thousand lookups rather than millions of tree walks.
+
+The lookups are the hot loop, so each is prepared once per call. A node's
+sub-profile key is cut from the full profile by ``operator.itemgetter`` over
+the positions of its subtree's decisions, which runs in C where a generator
+expression per lookup would not; ``itemgetter`` of one position returns the
+bare label, so a one-decision table is re-keyed by that label. A node with no
+decision below it (every terminal, and a chance node over terminals only)
+has a one-entry table whose value no profile can change, so it is resolved
+to that constant before the loop.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .solver import RISK_NEUTRAL, PAPER_TIES, RiskProfile, TiePolicy, preferred_on_tie, risk_transform
 from .tree import (
@@ -132,37 +142,50 @@ def brute_force_spe(
     ids = [nid for nid, _ in decs]
     index_of = {id(node): i for i, (_, node) in enumerate(decs)}
 
-    # precompute, per decision node: positions of its subtree decisions in a
-    # full combo, same for each child, plus the owner's value index
-    checks = []
-    for index, (_, node) in enumerate(decs):
-        own_ids, own_table = tables[id(node)]
-        own_pos = tuple(index_of[i] for i in own_ids)
-        kids = []
-        for label, child in node.actions:
-            kid_ids, kid_table = tables[id(child)]
-            kids.append((label, tuple(index_of[i] for i in kid_ids), kid_table))
-        checks.append(
-            (index, _PLAYER_INDEX[node.owner], own_pos, own_table, kids, node.active_action)
+    # per node: a C-level getter of its sub-profile key from a full combo and
+    # the table it keys, or (None, value) when no decision lies below it
+    lookups: dict[int, tuple[itemgetter | None, object]] = {}
+    for key, (sub_ids, table) in tables.items():
+        positions = [index_of[i] for i in sub_ids]
+        if not positions:
+            lookups[key] = (None, table[()])
+        elif len(positions) == 1:  # itemgetter(i) returns the bare label
+            lookups[key] = (itemgetter(positions[0]), {k[0]: v for k, v in table.items()})
+        else:
+            lookups[key] = (itemgetter(*positions), table)
+
+    # per decision node: its index in a combo, the owner's value index, its
+    # own lookup, one (label, lookup) per child, and the active action.
+    # Reversed preorder checks every decision before its ancestors: deep
+    # checks have short keys and reject most failing profiles sooner. The
+    # checks form a conjunction, so their order changes no result.
+    checks = [
+        (
+            index,
+            _PLAYER_INDEX[node.owner],
+            *lookups[id(node)],
+            [(label, *lookups[id(child)]) for label, child in node.actions],
+            node.active_action,
         )
+        for index, (_, node) in enumerate(decs)
+    ][::-1]
 
     spe_profiles: list[StrategyProfile] = []
     root_values: list[dict[Player, float]] = []
     canonical: list[StrategyProfile] = []
     canonical_values: list[dict[Player, float]] = []
-    root_ids, root_table = tables[id(root)]
-    root_pos = tuple(index_of[i] for i in root_ids)
+    root_key, root_table = lookups[id(root)]
 
     for combo in itertools.product(*label_sets):
         is_spe = True
         is_canonical = True
-        for index, owner_idx, own_pos, own_table, kids, active in checks:
-            base = own_table[tuple(combo[i] for i in own_pos)][owner_idx]
+        for index, owner_idx, own_key, own_table, kids, active in checks:
+            base = own_table[own_key(combo)][owner_idx]
             chosen = combo[index]
             best = base
             winners = []
-            for label, kid_pos, kid_table in kids:
-                val = kid_table[tuple(combo[i] for i in kid_pos)][owner_idx]
+            for label, kid_key, kid_table in kids:
+                val = (kid_table[kid_key(combo)] if kid_key else kid_table)[owner_idx]
                 if val > base:
                     is_spe = False
                     break
@@ -177,7 +200,7 @@ def brute_force_spe(
         if not is_spe:
             continue
         profile = dict(zip(ids, combo))
-        value_pair = root_table[tuple(combo[i] for i in root_pos)]
+        value_pair = root_table[root_key(combo)] if root_key else root_table
         value = {Player.ALICE: value_pair[0], Player.TOM: value_pair[1]}
         spe_profiles.append(profile)
         root_values.append(value)
