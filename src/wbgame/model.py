@@ -45,6 +45,7 @@ from enum import Enum
 
 from .tree import (
     NEG_INF,
+    PROB_SUM_TOL,
     Chance,
     Decision,
     Node,
@@ -55,8 +56,9 @@ from .tree import (
     terminal,
 )
 
-#: slack used when checking x + y <= 1, so e.g. x=0.9, y=0.1 parses cleanly
-SIMPLEX_TOL = 1e-9
+#: slack used when checking x + y <= 1, so e.g. x=0.9, y=0.1 parses cleanly;
+#: the tree's probability-sum tolerance, so both checks reject the same points
+SIMPLEX_TOL = PROB_SUM_TOL
 
 
 class Variant(Enum):
@@ -135,7 +137,7 @@ def validate_parameters(p: GameParameters) -> list[str]:
         v = getattr(p, name)
         if math.isnan(v) or v < 0.0 or v > 1.0:
             problems.append(f"{name} = {v!r} outside [0, 1]")
-    if p.x + p.y > 1.0 + SIMPLEX_TOL:
+    if p.x + p.y - 1.0 > SIMPLEX_TOL:  # subtracting 1 is exact here, as in validate_tree
         problems.append(f"x + y = {p.x + p.y!r} > 1")
 
     for name in ("a", "b", "c", "d", "e", "f", "g"):

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -58,6 +59,23 @@ class TestParameterValidation:
         # 0.9 + 0.1 lands a hair above 1.0 in floats; must still validate
         assert validate_parameters(params(x=0.9, y=0.1)) == []
         build_game(params(x=0.9, y=0.1))
+
+    def test_simplex_check_rejects_what_the_tree_check_rejects(self):
+        # x + y == 1.0 + SIMPLEX_TOL in floats, yet x + y - 1 exceeds the
+        # tree's probability-sum tolerance; passing it made solve fail
+        assert validate_parameters(params(x=0.5, y=0.500000001)) == ["x + y = 1.000000001 > 1"]
+        # the floats either side of that boundary: parameter validation
+        # passes exactly where the built tree validates
+        y = 0.500000001
+        for _ in range(4):
+            y = math.nextafter(y, 0.0)
+        for _ in range(9):
+            p = params(x=0.5, y=y)
+            if validate_parameters(p) == []:
+                assert validate_tree(build_game(p)) == [], repr(y)
+            else:
+                assert validate_parameters(p) == [f"x + y = {0.5 + y!r} > 1"]
+            y = math.nextafter(y, 1.0)
 
     def test_neg_inf_only_for_B(self):
         assert validate_parameters(params(B=NEG_INF)) == []

@@ -83,6 +83,11 @@ class TestParse:
         with pytest.raises(ScenarioError, match="x \\+ y"):
             parse_scenario(text)
 
+    def test_simplex_boundary_rejected_at_parse_time(self):
+        text = MINIMAL.replace("x = 0.2", "x = 0.5").replace("y = 0.3", "y = 0.500000001")
+        with pytest.raises(ScenarioError, match=r"x \+ y = 1\.000000001 > 1"):
+            parse_scenario(text)
+
     def test_probability_range_violation(self):
         with pytest.raises(ScenarioError, match="outside \\[0, 1\\]"):
             parse_scenario(MINIMAL.replace("w = 0.6", "w = 1.2"))
