@@ -5,7 +5,7 @@ import pytest
 from conftest import sample_parameters
 from wbgame.model import build_game, duncan_to_harry, prune_zero
 from wbgame.oracle import EnumerationCapError, brute_force_spe, enumerate_profiles
-from wbgame.solver import solve
+from wbgame.solver import TiePolicy, TieRule, solve
 from wbgame.tree import Player, decision, terminal
 
 
@@ -103,3 +103,36 @@ def test_oracle_runtime_on_standard_tree():
     start = time.perf_counter()
     brute_force_spe(tree)
     assert time.perf_counter() - start < 1.0
+
+
+def tie_heavy_parameters(rng: random.Random):
+    """Integer payoffs in [-2, 2] and dyadic probabilities: every expected
+    value is exact in floats, so equal values really tie."""
+    from test_model import params
+
+    x = rng.choice([0.0, 0.25, 0.5])
+    return params(
+        w=rng.choice([0.0, 0.5, 1.0]),
+        x=x,
+        y=rng.choice([q for q in (0.0, 0.25, 0.5) if x + q <= 1.0]),
+        z=rng.choice([0.0, 0.5, 1.0]),
+        H=float(rng.randint(-1, 0)),
+        I=float(rng.randint(-1, 0)),
+        **{k: float(rng.randint(-2, 2)) for k in "abcdefgBCDEFG"},
+    )
+
+
+@pytest.mark.parametrize("alice", list(TieRule))
+@pytest.mark.parametrize("tom", list(TieRule))
+def test_canonical_profile_matches_solver_on_tie_heavy_games(alice, tom):
+    ties = TiePolicy(alice=alice, tom=tom)
+    rng = random.Random(4242)
+    tied_games = 0
+    for _ in range(40):
+        tree = build_game(tie_heavy_parameters(rng))
+        solved = solve(tree, ties=ties)
+        certified = brute_force_spe(tree, ties=ties)
+        assert certified.canonical == solved.profile
+        assert certified.canonical_root_value == solved.root_value
+        tied_games += len(certified.spe_profiles) > 1
+    assert tied_games >= 20  # the tie filter, not uniqueness, picks the profile
