@@ -123,7 +123,10 @@ def _build_tables(
         tables[id(node)] = entry
         return entry
 
-    walk(root)
+    try:
+        walk(root)
+    finally:
+        del walk  # it refers to itself: unbound, it leaves no cycle for the GC
     return tables
 
 

@@ -180,7 +180,10 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
         node_values[nid] = vals
         return vals
 
-    root_value = visit(root, "", True)
+    try:
+        root_value = visit(root, "", True)
+    finally:
+        del visit  # it refers to itself: unbound, it leaves no cycle for the GC
     # solve built the profile from the tree itself, so it needs no check_profile
     distribution = unchecked_reach_probabilities(root, profile)
     return SolveResult(profile, node_values, root_value, distribution)
@@ -202,7 +205,10 @@ def _eu_walk(node: Node, chosen: dict[int, Node], risk: RiskProfile) -> dict[Pla
         else:
             walk(chosen[id(node)], prob)
 
-    walk(node, 1.0)
+    try:
+        walk(node, 1.0)
+    finally:
+        del walk  # it refers to itself: unbound, it leaves no cycle for the GC
     return totals
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -321,3 +322,23 @@ def test_one_shot_violations_finds_a_worse_pursuit(baseline, nid, expected):
     assert profile[nid] == "drop"
     profile[nid] = "pursue"
     assert one_shot_violations(tree, profile, baseline.risk) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda tree, profile: solve(tree),
+    lambda tree, profile: expected_utility(tree, profile),
+    lambda tree, profile: one_shot_violations(tree, profile),
+    lambda tree, profile: brute_force_spe(tree),
+], ids=["solve", "expected_utility", "one_shot_violations", "brute_force_spe"])
+def test_call_leaves_nothing_for_the_cyclic_gc(call):
+    # garbage in cycles waits for a full collection, so repeated calls
+    # would pile it up between collections and raise peak memory
+    tree = build_game(params())
+    profile = solve(tree).profile
+    gc.collect()
+    gc.disable()
+    try:
+        call(tree, profile)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
