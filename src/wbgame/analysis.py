@@ -7,6 +7,13 @@ fast to block, raising the price of unmasking Alice, building Alice-Duncan
 trust) must move before a quiet Alice decides to leak; and ``simulate`` plays
 the solved strategy forward with a seeded generator to validate the solver's
 probability arithmetic empirically.
+
+The threshold and lever searches probe many nearby points, so each probe
+evaluates the compiled :data:`wbgame.model.GAME_PLAN` with
+:func:`wbgame.solver.solve_plan`, which gives the solver's answer bit for bit
+without building a tree. What a report states about a single point (the
+supports either side of a flip, the lever base's no-leak check) still comes
+from :func:`wbgame.solver.solve`.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .solver import (
     SolveResult,
     TiePolicy,
     solve,
+    solve_plan,
 )
 from .tree import (
     Decision,
@@ -97,14 +105,28 @@ def _with_param(base: GameParameters, param: str, value: float) -> GameParameter
     return replace(base, **{param: value})
 
 
-def _solve_point(base: GameParameters, param: str, value: float,
-                 risk: RiskProfile, ties: TiePolicy) -> tuple[Node, SolveResult]:
+def _point(base: GameParameters, param: str, value: float) -> GameParameters:
     p = _with_param(base, param, value)
     problems = model.validate_parameters(p)
     if problems:
         raise ValueError("; ".join(problems))
-    tree = build_game(p)
+    return p
+
+
+def _solve_point(base: GameParameters, param: str, value: float,
+                 risk: RiskProfile, ties: TiePolicy) -> tuple[Node, SolveResult]:
+    tree = build_game(_point(base, param, value))
     return tree, solve(tree, risk, ties)
+
+
+def _probe(base: GameParameters, param: str, value: float,
+           risk: RiskProfile, ties: TiePolicy) -> tuple[frozenset[OutcomeClass], bool]:
+    """Outcome support and Alice's leak decision at one point, from the
+    compiled plan: the same answer as ``outcome_support`` and ``alice_leaks``
+    of :func:`_solve_point`, without building or solving a tree."""
+    values = model.plan_values(_point(base, param, value))
+    labels, root_choice = solve_plan(model.GAME_PLAN, values, risk, ties)
+    return frozenset(map(OutcomeClass, labels)), root_choice == "leak"
 
 
 @dataclass(frozen=True)
@@ -176,8 +198,7 @@ class ThresholdReport:
 
 def _support_at(base: GameParameters, param: str, value: float,
                 risk: RiskProfile, ties: TiePolicy) -> frozenset[OutcomeClass]:
-    tree, result = _solve_point(base, param, value, risk, ties)
-    return outcome_support(tree, result)
+    return _probe(base, param, value, risk, ties)[0]
 
 
 def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, object]]:
@@ -262,10 +283,13 @@ def find_threshold(
         )
     critical, width, flips = _flip_search(support, lo, hi, tol, prescan, sig_lo)
     # a tol below the float spacing would probe the critical point itself
-    below = support(max(lo, min(critical - tol, math.nextafter(critical, -math.inf))))
-    above = support(min(hi, max(critical + tol, math.nextafter(critical, math.inf))))
+    below = max(lo, min(critical - tol, math.nextafter(critical, -math.inf)))
+    above = min(hi, max(critical + tol, math.nextafter(critical, math.inf)))
+    below_classes = outcome_support(*_solve_point(base, param, below, risk, ties))
+    above_classes = outcome_support(*_solve_point(base, param, above, risk, ties))
     # report the accuracy reached, which the float spacing can make wider than tol
-    return ThresholdReport(param, lo, hi, critical, max(tol, width), below, above, flips <= 1)
+    return ThresholdReport(param, lo, hi, critical, max(tol, width),
+                           below_classes, above_classes, flips <= 1)
 
 
 LEVER_PUBLISH_FASTER = "publish-faster"
@@ -317,8 +341,7 @@ def lever_report(
         critical = None
         if start != end and not math.isinf(start):  # else the lever is at its limit
             critical, _, _ = _flip_search(
-                lambda v: alice_leaks(_solve_point(base, param, v, risk, ties)[1]),
-                start, end, tol, 64,
+                lambda v: _probe(base, param, v, risk, ties)[1], start, end, tol, 64,
             )
         report.append(LeverFinding(lever, param, start, end, critical))
     return report

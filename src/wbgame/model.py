@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from operator import attrgetter
 
 from .tree import (
     NEG_INF,
@@ -49,11 +50,9 @@ from .tree import (
     Chance,
     Decision,
     Node,
+    Plan,
     Player,
     Terminal,
-    chance,
-    decision,
-    terminal,
 )
 
 #: slack used when checking x + y <= 1, so e.g. x=0.9, y=0.1 parses cleanly;
@@ -184,111 +183,127 @@ def alice_to_harry(p: GameParameters) -> GameParameters:
     return replace(p, variant=Variant.ALICE_TO_HARRY, w=1.0, x=0.0, y=1.0, B=NEG_INF)
 
 
-def _censored_node(p: GameParameters, extra: float, paper_node: int) -> Decision:
-    # broadcast already dead; only the pursuit question remains
-    return decision(
-        Player.TOM,
-        f"tom: pursue alice? (node {paper_node})",
-        [
-            ("pursue", terminal(CENSORED_JAILED, p.c, p.C + extra + p.I)),
-            ("drop", terminal(CENSORED_ANONYMOUS, p.d, p.D + extra)),
-        ],
-        active="pursue",
-    )
+#: names of a game plan's value vector: the 19 parameters, then the derived
+#: chance probabilities and the constant 0.0 (see :func:`plan_values`)
+PLAN_VALUE_NAMES = PARAMETER_NAMES + ("1-w", "neutral", "1-z", "0")
+
+_parameter_values = attrgetter(*PARAMETER_NAMES)
 
 
-def _uncensored_node(p: GameParameters, extra: float, paper_node: int) -> Decision:
-    # broadcast is out; Harry's strength decides whether a pursuit lands
-    pursue_harry = chance(
-        "harry protection",
-        [
-            ("harry-strong", p.z, terminal(UNCENSORED_IMPUNITY, p.f, p.F + extra + p.I)),
-            ("harry-weak", 1.0 - p.z, terminal(UNCENSORED_JAILED, p.g, p.G + extra + p.I)),
-        ],
-    )
-    drop_harry = chance(
-        "harry protection",
-        [
-            ("harry-strong", p.z, terminal(UNCENSORED_ANONYMOUS, p.e, p.E + extra)),
-            ("harry-weak", 1.0 - p.z, terminal(UNCENSORED_ANONYMOUS, p.e, p.E + extra)),
-        ],
-    )
-    return decision(
+def plan_values(p: GameParameters) -> list[float]:
+    """``p``'s value vector for :data:`GAME_PLAN`, indexed as :data:`PLAN_VALUE_NAMES`."""
+    neutral = 1.0 - p.x - p.y
+    if neutral < 0.0:  # only possible within SIMPLEX_TOL of zero
+        neutral = 0.0
+    return [*_parameter_values(p), 1.0 - p.w, neutral, 1.0 - p.z, 0.0]
+
+
+def _game_plan() -> Plan:
+    """The one description of the game's shape; see the module docstring."""
+    plan = Plan(PLAN_VALUE_NAMES)
+    term, chance, decide = plan.terminal, plan.chance, plan.decision
+
+    def censored(extra: str, paper_node: int) -> int:
+        # broadcast already dead; only the pursuit question remains
+        return decide(
+            Player.TOM,
+            f"tom: pursue alice? (node {paper_node})",
+            [
+                ("pursue", term(CENSORED_JAILED, ("c",), ("C", extra, "I"))),
+                ("drop", term(CENSORED_ANONYMOUS, ("d",), ("D", extra))),
+            ],
+            active="pursue",
+        )
+
+    def uncensored(extra: str, paper_node: int) -> int:
+        # broadcast is out; Harry's strength decides whether a pursuit lands
+        pursue_harry = chance(
+            "harry protection",
+            [
+                ("harry-strong", "z", term(UNCENSORED_IMPUNITY, ("f",), ("F", extra, "I"))),
+                ("harry-weak", "1-z", term(UNCENSORED_JAILED, ("g",), ("G", extra, "I"))),
+            ],
+        )
+        drop_harry = chance(
+            "harry protection",
+            [
+                ("harry-strong", "z", term(UNCENSORED_ANONYMOUS, ("e",), ("E", extra))),
+                ("harry-weak", "1-z", term(UNCENSORED_ANONYMOUS, ("e",), ("E", extra))),
+            ],
+        )
+        return decide(
+            Player.TOM,
+            f"tom: pursue alice? (node {paper_node})",
+            [("pursue", pursue_harry), ("drop", drop_harry)],
+            active="pursue",
+        )
+
+    def world(label_suffix: str, paper_nodes: tuple[int, int, int], extra: str,
+              attempted: bool) -> int:
+        tom_n, neutral_n, duncan_n = paper_nodes
+        return chance(
+            f"world reaction ({label_suffix})",
+            [
+                ("world-tom", "x", censored(extra, tom_n)),
+                ("world-duncan", "y", uncensored(extra, duncan_n)),
+                # neutrality lets the censorship attempt (or its absence) decide
+                ("world-neutral", "neutral",
+                 censored(extra, neutral_n) if attempted else uncensored(extra, neutral_n)),
+            ],
+        )
+
+    block_choice = decide(
         Player.TOM,
-        f"tom: pursue alice? (node {paper_node})",
-        [("pursue", pursue_harry), ("drop", drop_harry)],
-        active="pursue",
+        "tom: block duncan? (node 2)",
+        [
+            ("block", term(BLOCKED, ("b",), ("B",))),
+            ("proceed", decide(
+                Player.TOM,
+                "tom: censor? (node 3)",
+                [
+                    ("censor", world("after censor attempt", (9, 7, 5), "H", attempted=True)),
+                    ("hold", world("no censor attempt", (8, 6, 4), "0", attempted=False)),
+                ],
+                active="censor",
+            )),
+        ],
+        active="block",
     )
+    trust = chance(
+        "duncan: trust alice?",
+        [
+            ("trust", "w", block_choice),
+            ("no-trust", "1-w", term(NO_TRUST, ("a",), ("0",))),
+        ],
+    )
+    decide(
+        Player.ALICE,
+        "alice: leak? (node 1)",
+        [
+            ("leak", trust),
+            ("stay", term(NO_LEAK, ("0",), ("0",))),
+        ],
+        active="leak",
+    )
+    return plan
+
+
+#: the standard game's shape, compiled once: every variant and every
+#: parameter point shares it, so only :func:`plan_values` changes. Read-only.
+GAME_PLAN = _game_plan()
 
 
 def build_game(p: GameParameters) -> Node:
     """Build the whistleblowing tree for ``p`` (root node).
 
-    All variants share the standard structure; the variant builders merely
-    pin probabilities/payoffs, leaving zero-probability branches in place
-    (use :func:`prune_zero` to drop them).
+    All variants share the standard structure, :data:`GAME_PLAN`; the variant
+    builders merely pin probabilities/payoffs, leaving zero-probability
+    branches in place (use :func:`prune_zero` to drop them).
     """
     problems = validate_parameters(p)
     if problems:
         raise ValueError("invalid parameters: " + "; ".join(problems))
-
-    neutral = 1.0 - p.x - p.y
-    if neutral < 0.0:  # only possible within SIMPLEX_TOL of zero
-        neutral = 0.0
-
-    def world(label_suffix: str, censored_extra_node: tuple[int, int, int], extra: float, attempted: bool) -> Chance:
-        tom_n, neutral_n, duncan_n = censored_extra_node
-        neutral_child = (
-            _censored_node(p, extra, neutral_n)
-            if attempted
-            else _uncensored_node(p, extra, neutral_n)
-        )
-        return chance(
-            f"world reaction ({label_suffix})",
-            [
-                ("world-tom", p.x, _censored_node(p, extra, tom_n)),
-                ("world-duncan", p.y, _uncensored_node(p, extra, duncan_n)),
-                ("world-neutral", neutral, neutral_child),
-            ],
-        )
-
-    censor_choice = decision(
-        Player.TOM,
-        "tom: censor? (node 3)",
-        [
-            ("censor", world("after censor attempt", (9, 7, 5), p.H, attempted=True)),
-            ("hold", world("no censor attempt", (8, 6, 4), 0.0, attempted=False)),
-        ],
-        active="censor",
-    )
-
-    block_choice = decision(
-        Player.TOM,
-        "tom: block duncan? (node 2)",
-        [
-            ("block", terminal(BLOCKED, p.b, p.B)),
-            ("proceed", censor_choice),
-        ],
-        active="block",
-    )
-
-    trust = chance(
-        "duncan: trust alice?",
-        [
-            ("trust", p.w, block_choice),
-            ("no-trust", 1.0 - p.w, terminal(NO_TRUST, p.a, 0.0)),
-        ],
-    )
-
-    return decision(
-        Player.ALICE,
-        "alice: leak? (node 1)",
-        [
-            ("leak", trust),
-            ("stay", terminal(NO_LEAK, 0.0, 0.0)),
-        ],
-        active="leak",
-    )
+    return GAME_PLAN.instantiate(plan_values(p))
 
 
 def prune_zero(node: Node) -> Node:

@@ -29,6 +29,7 @@ from .tree import (
     PLAYERS,
     Chance,
     Node,
+    Plan,
     Player,
     StrategyProfile,
     Terminal,
@@ -187,6 +188,88 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
     # solve built the profile from the tree itself, so it needs no check_profile
     distribution = unchecked_reach_probabilities(root, profile)
     return SolveResult(profile, node_values, root_value, distribution)
+
+
+def solve_plan(
+    plan: Plan, values, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_TIES
+) -> tuple[frozenset[str], str | None]:
+    """Labels of the terminals reached with positive probability, and the
+    root's chosen action (None if the root is not a decision).
+
+    Equal to what ``solve(plan.instantiate(values), risk, ties)`` gives through
+    its outcome distribution and profile, bit for bit: the same float
+    operations run in the same order, over the plan's slots instead of tree
+    nodes, with no tree, node ids or dicts built. ``values`` must give chance
+    probabilities that :func:`wbgame.tree.validate_tree` accepts; a payoff it
+    would reject raises the same ``invalid tree`` error as ``solve``.
+    """
+    slots = plan.slots
+    ext = plan.extend(values)
+    count = len(slots)
+    alice_v = [0.0] * count
+    tom_v = [0.0] * count
+    # solve validates the whole tree before it transforms any payoff
+    for i in plan.terminals:
+        alice_at, tom_at = slots[i].payoffs
+        a = alice_v[i] = ext[alice_at]
+        t = tom_v[i] = ext[tom_at]
+        if not (NEG_INF <= a < math.inf and NEG_INF <= t < math.inf):  # NaN fails too
+            require_valid(plan.instantiate(values))  # raises solve's error
+    alpha_alice, alpha_tom = risk.alice, risk.tom
+    if alpha_alice != 0.0 or alpha_tom != 0.0:
+        for i in plan.terminals:
+            alice_v[i] = risk_transform(alice_v[i], alpha_alice)
+            tom_v[i] = risk_transform(tom_v[i], alpha_tom)
+
+    chosen = [0] * count
+    choices: list[str | None] = [None] * count
+    for i in plan.inner:
+        kind, _, owner, active, labels, children, probs, _ = slots[i]
+        if kind is Chance:
+            acc_alice = acc_tom = 0.0
+            for q, c in zip(probs, children):
+                prob = ext[q]
+                if prob > 0.0:  # 0 * -inf would be NaN
+                    acc_alice += prob * alice_v[c]
+                    acc_tom += prob * tom_v[c]
+            alice_v[i] = acc_alice
+            tom_v[i] = acc_tom
+        else:
+            own = alice_v if owner is Player.ALICE else tom_v
+            winners: list[str] = []
+            best = NEG_INF
+            for label, c in zip(labels, children):
+                v = own[c]
+                if v > best or not winners:
+                    best = v
+                    winners = [label]
+                elif v == best:
+                    winners.append(label)
+            choice = preferred_on_tie(winners, ties.rule_for(owner), active)
+            c = children[labels.index(choice)]
+            alice_v[i] = alice_v[c]
+            tom_v[i] = tom_v[c]
+            chosen[i] = c
+            choices[i] = choice
+
+    # reach probabilities as unchecked_reach_probabilities multiplies them;
+    # a subtree reached with probability 0 keeps 0 all the way down
+    reached: set[str] = set()
+    stack = [(count - 1, 1.0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, prob = pop()
+        if not prob > 0.0:
+            continue
+        kind, label, _, _, _, children, probs, _ = slots[i]
+        if kind is Terminal:
+            reached.add(label)
+        elif kind is Chance:
+            for q, c in zip(probs, children):
+                push((c, prob * ext[q]))
+        else:
+            push((chosen[i], prob))
+    return frozenset(reached), choices[-1]
 
 
 def _eu_walk(node: Node, chosen: dict[int, Node], risk: RiskProfile) -> dict[Player, float]:

@@ -18,6 +18,10 @@ IEEE semantics give exactly the arithmetic we need (-inf + finite = -inf,
 -inf < every finite value), with one caveat handled throughout this package:
 0 * -inf is NaN, so zero-probability branches are always skipped when
 averaging.
+
+A :class:`Plan` is one tree shape whose numbers come from a value vector: it
+stands for every tree that differs from the others only in its numbers, so a
+caller that re-solves one shape at many points builds the shape once.
 """
 
 from __future__ import annotations
@@ -283,3 +287,114 @@ def unchecked_reach_probabilities(root: Node, profile: StrategyProfile) -> dict[
             for label, p, child in reversed(node.branches):
                 push((prefix + label, child, False, prob * p))
     return out
+
+
+class PlanSlot(NamedTuple):
+    """One node of a :class:`Plan`.
+
+    ``kind`` is :class:`Terminal`, :class:`Chance` or :class:`Decision`.
+    ``labels[i]`` names the edge to slot ``children[i]``; a chance slot's
+    ``probs[i]`` is the value index of that edge's probability. A terminal's
+    ``payoffs`` are indices into :meth:`Plan.extend`'s vector, one per player
+    in ``PLAYERS`` order.
+    """
+
+    kind: type
+    label: str
+    owner: Player | None
+    active: str | None
+    labels: tuple[str, ...]
+    children: tuple[int, ...]
+    probs: tuple[int, ...]
+    payoffs: tuple[int, ...]
+
+
+class Plan:
+    """A fixed tree shape whose numbers are indices into a value vector.
+
+    ``slots`` lists the nodes, root last. Each of :meth:`terminal`,
+    :meth:`chance` and :meth:`decision` appends one slot and returns its
+    index, so calls nested as the tree nests, each node's children written in
+    order, list the slots in the order a depth-first walk leaves the nodes
+    (post-order), which is the order :func:`wbgame.solver.solve` finishes
+    them. Numbers are named by ``value_names``. A payoff names the terms of a sum taken left to
+    right, so ``("C", "H", "I")`` is ``(C + H) + I``; each distinct sum is
+    taken once per value vector, by :meth:`extend`. :meth:`instantiate` turns
+    one value vector into the tree.
+    """
+
+    def __init__(self, value_names: tuple[str, ...]) -> None:
+        self.value_names = value_names
+        self._index = {name: i for i, name in enumerate(value_names)}
+        #: extended-vector index of each sum of two or more terms, by its terms
+        self._sum_index: dict[tuple[int, ...], int] = {}
+        #: (first term, later terms) of each such sum, in extended-vector order
+        self.sums: list[tuple[int, tuple[int, ...]]] = []
+        self.slots: list[PlanSlot] = []
+        #: indices of the terminal slots, and of the others, in slot order
+        self.terminals: list[int] = []
+        self.inner: list[int] = []
+
+    def _add(self, slot: PlanSlot) -> int:
+        index = len(self.slots)
+        self.slots.append(slot)
+        (self.terminals if slot.kind is Terminal else self.inner).append(index)
+        return index
+
+    def _payoff(self, names: tuple[str, ...]) -> int:
+        terms = tuple(self._index[name] for name in names)
+        if len(terms) == 1:
+            return terms[0]
+        if terms not in self._sum_index:
+            self._sum_index[terms] = len(self.value_names) + len(self.sums)
+            self.sums.append((terms[0], terms[1:]))
+        return self._sum_index[terms]
+
+    def terminal(self, label: str, alice: tuple[str, ...], tom: tuple[str, ...]) -> int:
+        payoffs = (self._payoff(alice), self._payoff(tom))
+        return self._add(PlanSlot(Terminal, label, None, None, (), (), (), payoffs))
+
+    def chance(self, label: str, branches: list[tuple[str, str, int]]) -> int:
+        return self._add(PlanSlot(
+            Chance, label, None, None,
+            tuple(b[0] for b in branches),
+            tuple(b[2] for b in branches),
+            tuple(self._index[b[1]] for b in branches),
+            (),
+        ))
+
+    def decision(self, owner: Player, label: str, actions: list[tuple[str, int]],
+                 active: str | None = None) -> int:
+        return self._add(PlanSlot(
+            Decision, label, owner, active,
+            tuple(a[0] for a in actions),
+            tuple(a[1] for a in actions),
+            (),
+            (),
+        ))
+
+    def extend(self, values) -> list[float]:
+        """``values`` followed by the plan's payoff sums, each summed left to right."""
+        ext = list(values)
+        append = ext.append
+        for first, rest in self.sums:
+            v = ext[first]
+            for k in rest:
+                v += ext[k]
+            append(v)
+        return ext
+
+    def instantiate(self, values) -> Node:
+        """The tree this plan describes at ``values`` (indexed as ``value_names``)."""
+        value = self.extend(values).__getitem__
+        nodes: list[Node] = []
+        node, append = nodes.__getitem__, nodes.append
+        alice, tom = PLAYERS
+        for kind, label, owner, active, labels, children, probs, payoffs in self.slots:
+            if kind is Terminal:
+                append(Terminal(label, {alice: value(payoffs[0]), tom: value(payoffs[1])}))
+            elif kind is Chance:
+                append(Chance(label, tuple(zip(labels, map(value, probs), map(node, children)))))
+            else:
+                append(Decision(owner, label, tuple(zip(labels, map(node, children))), active))
+        return nodes[-1]
