@@ -271,8 +271,8 @@ def find_threshold(
     two flips inside one prescan segment look like none. Bisection stops at
     ``tol`` or at the float spacing, whichever is wider.
     """
-    if not tol > 0:
-        raise AnalysisError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise AnalysisError(f"tol must be positive and finite, got {tol!r}")
     if not lo < hi:
         raise AnalysisError(f"invalid bracket [{lo!r}, {hi!r}]")
     support = partial(_support_at, base, param, risk=risk, ties=ties)
@@ -322,8 +322,8 @@ def lever_report(
     must currently solve to no leak. A lever already at its limit (B = -inf,
     w = 1) has nowhere to move and reports no flip.
     """
-    if not tol > 0:
-        raise AnalysisError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise AnalysisError(f"tol must be positive and finite, got {tol!r}")
     for name, floor in (("block_floor", block_floor), ("pursuit_floor", pursuit_floor)):
         if not math.isfinite(floor):
             raise AnalysisError(f"{name} must be finite, got {floor!r}")

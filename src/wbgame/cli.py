@@ -13,6 +13,7 @@ the only timestamp, making repeated runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -109,8 +110,8 @@ def cmd_threshold(args) -> int:
     if not args.lo < args.hi:
         print(f"error: invalid bracket [--lo {args.lo}, --hi {args.hi}]", file=sys.stderr)
         return USAGE_ERROR
-    if not args.tol > 0:
-        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+    if not 0 < args.tol < math.inf:  # NaN fails too
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return USAGE_ERROR
     report = analysis.find_threshold(
         scn.parameters, args.param, args.lo, args.hi, args.tol, scn.risk, scn.ties
@@ -128,8 +129,8 @@ def cmd_threshold(args) -> int:
 
 def cmd_levers(args) -> int:
     scn = _load(args)
-    if not args.tol > 0:
-        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+    if not 0 < args.tol < math.inf:  # NaN fails too
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return USAGE_ERROR
     findings = analysis.lever_report(scn.parameters, scn.risk, scn.ties, args.tol)
     lines = [scenario.meta_header(_meta(args, scn, "levers"))]

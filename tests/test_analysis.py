@@ -122,6 +122,8 @@ class TestFindThreshold:
             find_threshold(params(), "w", 0.0, 1.0, tol=-1.0)
         with pytest.raises(AnalysisError, match="tol must be positive"):
             find_threshold(params(), "w", 0.0, 1.0, tol=math.nan)
+        with pytest.raises(AnalysisError, match="tol must be positive and finite, got inf"):
+            find_threshold(params(), "w", 0.0, 1.0, tol=math.inf)
 
     def test_flip_in_the_grids_rounding_gap_is_still_bisected(self):
         # hi is the first float past the 1/6 flip, and the prescan grid's last
@@ -199,7 +201,7 @@ class TestLeverReport:
         with pytest.raises(AnalysisError, match="already solves to a leak"):
             lever_report(baseline.parameters)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
     def test_tol_must_be_positive(self, baseline_noleak, tol):
         with pytest.raises(AnalysisError, match="tol must be positive"):
             lever_report(baseline_noleak.parameters, tol=tol)

@@ -197,7 +197,7 @@ class TestThresholdValidation:
 
     def test_bad_tol_exits_2(self, capsys):
         for command in TOL_COMMANDS:
-            for tol in ("-1", "0", "nan"):
+            for tol in ("-1", "0", "nan", "inf"):
                 code, _, err = run(
                     capsys, *command, "--scenario", scenario_path("baseline_noleak"),
                     "--tol", tol,
