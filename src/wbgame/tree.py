@@ -386,13 +386,15 @@ class Plan:
 
     def instantiate(self, values) -> Node:
         """The tree this plan describes at ``values`` (indexed as ``value_names``)."""
-        value = self.extend(values).__getitem__
+        ext = self.extend(values)
+        value = ext.__getitem__
         nodes: list[Node] = []
         node, append = nodes.__getitem__, nodes.append
         alice, tom = PLAYERS
         for kind, label, owner, active, labels, children, probs, payoffs in self.slots:
             if kind is Terminal:
-                append(Terminal(label, {alice: value(payoffs[0]), tom: value(payoffs[1])}))
+                a, t = payoffs
+                append(Terminal(label, {alice: ext[a], tom: ext[t]}))
             elif kind is Chance:
                 append(Chance(label, tuple(zip(labels, map(value, probs), map(node, children)))))
             else:
