@@ -199,7 +199,12 @@ def plan_values(p: GameParameters) -> list[float]:
 
 
 def _game_plan() -> Plan:
-    """The one description of the game's shape; see the module docstring."""
+    """The one description of the game's shape; see the module docstring.
+
+    Each node's children, whole subtrees, are created one after another in
+    the order they are listed, so the slots come out in the post-order that
+    :class:`~wbgame.tree.Plan` describes.
+    """
     plan = Plan(PLAN_VALUE_NAMES)
     term, chance, decide = plan.terminal, plan.chance, plan.decision
 
