@@ -24,7 +24,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 from . import model
 from .model import GameParameters, build_game
@@ -99,14 +98,14 @@ def alice_leaks(result: SolveResult) -> bool:
     return result.profile.get(model.ROOT_NODE_ID) == "leak"
 
 
-def _with_param(base: GameParameters, param: str, value: float) -> GameParameters:
+def _check_param(param: str) -> None:
     if param not in model.PARAMETER_NAMES:
         raise AnalysisError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
-    return replace(base, **{param: value})
 
 
 def _point(base: GameParameters, param: str, value: float) -> GameParameters:
-    p = _with_param(base, param, value)
+    _check_param(param)
+    p = replace(base, **{param: value})
     problems = model.validate_parameters(p)
     if problems:
         raise ValueError("; ".join(problems))
@@ -159,8 +158,7 @@ def sweep(
     another in grid order: the work is pure Python and holds the interpreter
     lock throughout, so threads would only add overhead.
     """
-    if param not in model.PARAMETER_NAMES:
-        raise AnalysisError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
+    _check_param(param)
     if len(grid) == 0:
         raise AnalysisError("empty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -196,9 +194,9 @@ class ThresholdReport:
     monotone: bool
 
 
-def _support_at(base: GameParameters, param: str, value: float,
-                risk: RiskProfile, ties: TiePolicy) -> frozenset[OutcomeClass]:
-    return _probe(base, param, value, risk, ties)[0]
+#: points of the grid that :func:`find_threshold` and :func:`lever_report`
+#: scan for flips before bisecting the first one
+PRESCAN = 64
 
 
 def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, object]]:
@@ -211,16 +209,16 @@ def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, ob
     return [(xs[i], xs[i + 1], keys[i]) for i in range(points - 1) if keys[i] != keys[i + 1]]
 
 
-def _flip_search(key, lo: float, hi: float, tol: float, prescan: int,
+def _flip_search(key, lo: float, hi: float, tol: float,
                  key_lo: object = None) -> tuple[float | None, float, int]:
-    """Bisect the first change of ``key`` seen by a ``prescan``-point grid on [lo, hi].
+    """Bisect the first change of ``key`` seen by a :data:`PRESCAN`-point grid on [lo, hi].
 
     Returns (that point, or None if the scan sees no change; the final
     bracket's width; changing segments). Stops at ``tol`` or the float
     spacing. ``key_lo`` (key(lo) != key(hi) known) bisects all of [lo, hi] if
     the change hides past the grid's rounded last point.
     """
-    segments = _scan(key, lo, hi, prescan)
+    segments = _scan(key, lo, hi, PRESCAN)
     if segments:
         a, b, key_a = segments[0]
     elif key_lo is not None:
@@ -248,7 +246,7 @@ def grid_scan_flip(
     ties: TiePolicy = PAPER_TIES,
 ) -> list[tuple[float, float]]:
     """Consecutive grid segments whose endpoints have different outcome support."""
-    segments = _scan(partial(_support_at, base, param, risk=risk, ties=ties), lo, hi, points)
+    segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], lo, hi, points)
     return [(a, b) for a, b, _ in segments]
 
 
@@ -260,28 +258,30 @@ def find_threshold(
     tol: float = 1e-6,
     risk: RiskProfile = RISK_NEUTRAL,
     ties: TiePolicy = PAPER_TIES,
-    prescan: int = 64,
 ) -> ThresholdReport:
     """Bisect to the parameter value where the outcome support flips.
 
-    Requires different outcome support at ``lo`` and ``hi``. A ``prescan``-
-    point scan guards against several flips in the bracket: if more than one
-    is detected, the first is reported and ``monotone`` is False. So
-    ``monotone`` True means "no second flip seen at the prescan spacing":
-    two flips inside one prescan segment look like none. Bisection stops at
-    ``tol`` or at the float spacing, whichever is wider.
+    Requires different outcome support at ``lo`` and ``hi``. A
+    :data:`PRESCAN`-point scan guards against several flips in the bracket:
+    if more than one is detected, the first is reported and ``monotone`` is
+    False. So ``monotone`` True means "no second flip seen at the prescan
+    spacing": two flips inside one prescan segment look like none. Bisection
+    stops at ``tol`` or at the float spacing, whichever is wider.
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise AnalysisError(f"tol must be positive and finite, got {tol!r}")
     if not lo < hi:
         raise AnalysisError(f"invalid bracket [{lo!r}, {hi!r}]")
-    support = partial(_support_at, base, param, risk=risk, ties=ties)
+
+    def support(value: float) -> frozenset[OutcomeClass]:
+        return _probe(base, param, value, risk, ties)[0]
+
     sig_lo = support(lo)
     if sig_lo == support(hi):
         raise AnalysisError(
             f"outcome classes match at both ends of [{lo!r}, {hi!r}]; nothing to bracket"
         )
-    critical, width, flips = _flip_search(support, lo, hi, tol, prescan, sig_lo)
+    critical, width, flips = _flip_search(support, lo, hi, tol, sig_lo)
     # a tol below the float spacing would probe the critical point itself
     below = max(lo, min(critical - tol, math.nextafter(critical, -math.inf)))
     above = min(hi, max(critical + tol, math.nextafter(critical, math.inf)))
@@ -295,6 +295,9 @@ def find_threshold(
 LEVER_PUBLISH_FASTER = "publish-faster"
 LEVER_RAISE_DEANON_COST = "raise-deanon-cost"
 LEVER_BUILD_TRUST = "build-trust"
+
+#: how far :func:`lever_report` pushes the payoff levers B and I down
+LEVER_FLOOR = -1000.0
 
 
 @dataclass(frozen=True)
@@ -311,29 +314,25 @@ def lever_report(
     risk: RiskProfile = RISK_NEUTRAL,
     ties: TiePolicy = PAPER_TIES,
     tol: float = 1e-6,
-    block_floor: float = -1000.0,
-    pursuit_floor: float = -1000.0,
 ) -> list[LeverFinding]:
     """Smallest move of each lever that flips Alice from staying quiet to leaking.
 
-    Lever 1 pushes Tom's blocking payoff B toward -inf (publication too fast
-    to block), lever 2 pushes the de-anonymisation adjustment I downward
-    (unmasking Alice gets pricier), lever 3 raises trust w toward 1. The base
-    must currently solve to no leak. A lever already at its limit (B = -inf,
-    w = 1) has nowhere to move and reports no flip.
+    Lever 1 pushes Tom's blocking payoff B down to :data:`LEVER_FLOOR`
+    (publication too fast to block), lever 2 pushes the de-anonymisation
+    adjustment I down to the same floor (unmasking Alice gets pricier),
+    lever 3 raises trust w to 1. The base must currently solve to no leak.
+    A lever already at its limit (B = -inf, w = 1) has nowhere to move and
+    reports no flip.
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise AnalysisError(f"tol must be positive and finite, got {tol!r}")
-    for name, floor in (("block_floor", block_floor), ("pursuit_floor", pursuit_floor)):
-        if not math.isfinite(floor):
-            raise AnalysisError(f"{name} must be finite, got {floor!r}")
     _, base_result = _solve_point(base, "w", base.w, risk, ties)
     if alice_leaks(base_result):
         raise AnalysisError("base scenario already solves to a leak; no lever needed")
 
     searches = [
-        (LEVER_PUBLISH_FASTER, "B", base.B, block_floor),
-        (LEVER_RAISE_DEANON_COST, "I", base.I, pursuit_floor),
+        (LEVER_PUBLISH_FASTER, "B", base.B, LEVER_FLOOR),
+        (LEVER_RAISE_DEANON_COST, "I", base.I, LEVER_FLOOR),
         (LEVER_BUILD_TRUST, "w", base.w, 1.0),
     ]
     report = []
@@ -341,7 +340,7 @@ def lever_report(
         critical = None
         if start != end and not math.isinf(start):  # else the lever is at its limit
             critical, _, _ = _flip_search(
-                lambda v: _probe(base, param, v, risk, ties)[1], start, end, tol, 64,
+                lambda v: _probe(base, param, v, risk, ties)[1], start, end, tol,
             )
         report.append(LeverFinding(lever, param, start, end, critical))
     return report

@@ -41,13 +41,14 @@ from .tree import (
     require_valid,
 )
 
-DEFAULT_PROFILE_CAP = 2**20
+#: most pure strategy profiles the oracle enumerates; the standard game has 512
+PROFILE_CAP = 2**20
 
 _PLAYER_INDEX = {Player.ALICE: 0, Player.TOM: 1}
 
 
 class EnumerationCapError(ValueError):
-    """Raised when a tree has more pure profiles than the configured cap."""
+    """Raised when a tree has more pure profiles than :data:`PROFILE_CAP`."""
 
 
 @dataclass
@@ -64,23 +65,23 @@ class OracleResult:
     canonical_root_value: dict[Player, float]
 
 
-def _label_sets(decs: list[tuple[str, Decision]], cap: int) -> list[list[str]]:
-    """Action labels per decision; raises EnumerationCapError past ``cap`` profiles."""
+def _label_sets(decs: list[tuple[str, Decision]]) -> list[list[str]]:
+    """Action labels per decision; raises EnumerationCapError past :data:`PROFILE_CAP`."""
     label_sets = [[label for label, _ in node.actions] for _, node in decs]
     total = math.prod(map(len, label_sets))
-    if total > cap:
-        raise EnumerationCapError(f"{total} profiles exceed the cap of {cap}")
+    if total > PROFILE_CAP:
+        raise EnumerationCapError(f"{total} profiles exceed the cap of {PROFILE_CAP}")
     return label_sets
 
 
-def enumerate_profiles(root: Node, cap: int = DEFAULT_PROFILE_CAP):
+def enumerate_profiles(root: Node):
     """Yield every pure strategy profile, in deterministic preorder digits.
 
-    Raises EnumerationCapError if the profile count exceeds ``cap``.
+    Raises EnumerationCapError if the profile count exceeds :data:`PROFILE_CAP`.
     """
     decs = decisions(root)
     ids = [nid for nid, _ in decs]
-    for combo in itertools.product(*_label_sets(decs, cap)):
+    for combo in itertools.product(*_label_sets(decs)):
         yield dict(zip(ids, combo))
 
 
@@ -134,13 +135,12 @@ def brute_force_spe(
     root: Node,
     risk: RiskProfile = RISK_NEUTRAL,
     ties: TiePolicy = PAPER_TIES,
-    cap: int = DEFAULT_PROFILE_CAP,
 ) -> OracleResult:
     """Enumerate profiles and certify subgame perfection by deviation checks."""
     require_valid(root)
 
     decs = decisions(root)
-    label_sets = _label_sets(decs, cap)
+    label_sets = _label_sets(decs)
     tables = _build_tables(root, risk)
     ids = [nid for nid, _ in decs]
     index_of = {id(node): i for i, (_, node) in enumerate(decs)}

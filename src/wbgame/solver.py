@@ -310,7 +310,6 @@ def one_shot_violations(
     root: Node,
     profile: StrategyProfile,
     risk: RiskProfile = RISK_NEUTRAL,
-    atol: float = 0.0,
 ) -> list[str]:
     """Single-node deviations that strictly improve the deviating owner.
 
@@ -329,7 +328,7 @@ def one_shot_violations(
             deviated = dict(chosen)
             deviated[id(node)] = child
             dev = _eu_walk(node, deviated, risk)[node.owner]
-            if dev > base + atol:
+            if dev > base:
                 violations.append(
                     f"{nid or '(root)'}: switching to {label!r} raises "
                     f"{node.owner.value} from {base!r} to {dev!r}"

@@ -211,12 +211,6 @@ class TestLeverReport:
         assert findings["w"].critical == pytest.approx(1 / 1.14, abs=1e-15)
         assert findings["I"].critical == pytest.approx(-2.3, abs=1e-15)
 
-    @pytest.mark.parametrize("name", ["block_floor", "pursuit_floor"])
-    @pytest.mark.parametrize("floor", [-math.inf, math.inf, math.nan])
-    def test_floor_must_be_finite(self, baseline_noleak, name, floor):
-        with pytest.raises(AnalysisError, match=f"{name} must be finite"):
-            lever_report(baseline_noleak.parameters, **{name: floor})
-
     def test_hopeless_blocking_has_no_block_lever(self, baseline_noleak):
         # B = -inf is the block lever's limit, so there is nothing to scan
         p = replace(baseline_noleak.parameters, B=-math.inf)

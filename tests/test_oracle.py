@@ -31,11 +31,16 @@ def test_pruned_variant_profile_count_matches_surviving_decisions():
 
 
 def test_cap_exceeded():
-    tree = build_game(sample_parameters(random.Random(3)))
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_profiles(tree, cap=100))
-    with pytest.raises(EnumerationCapError):
-        brute_force_spe(tree, cap=100)
+    # 21 binary decisions in a chain: 2**21 profiles, one past the cap of 2**20.
+    # The cap is checked before anything is enumerated, so this stays instant.
+    tree = terminal("end", 0.0, 0.0)
+    for i in range(21):
+        tree = decision(Player.ALICE, f"d{i}", [("on", tree), ("off", terminal(f"t{i}", 0.0, 0.0))])
+    message = "^2097152 profiles exceed the cap of 1048576$"
+    with pytest.raises(EnumerationCapError, match=message):
+        list(enumerate_profiles(tree))
+    with pytest.raises(EnumerationCapError, match=message):
+        brute_force_spe(tree)
 
 
 def test_trivial_tree_certification():
