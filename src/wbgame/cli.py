@@ -22,7 +22,7 @@ from .analysis import AnalysisError, OutcomeClass
 from .model import build_game, prune_zero
 from .solver import solve
 from .tree import Player
-from .scenario import ScenarioError, Scenario, format_number
+from .scenario import Scenario, format_number
 
 OK, USAGE_ERROR, ANALYSIS_ERROR, DISAGREEMENT = 0, 2, 3, 4
 
@@ -289,16 +289,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

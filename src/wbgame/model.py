@@ -139,11 +139,7 @@ def validate_parameters(p: GameParameters) -> list[str]:
     if p.x + p.y - 1.0 > SIMPLEX_TOL:  # subtracting 1 is exact here, as in validate_tree
         problems.append(f"x + y = {p.x + p.y!r} > 1")
 
-    for name in ("a", "b", "c", "d", "e", "f", "g"):
-        v = getattr(p, name)
-        if not math.isfinite(v):
-            problems.append(f"{name} = {v!r} must be finite")
-    for name in ("C", "D", "E", "F", "G", "H", "I"):
+    for name in ("a", "b", "c", "d", "e", "f", "g", "C", "D", "E", "F", "G", "H", "I"):
         v = getattr(p, name)
         if not math.isfinite(v):
             problems.append(f"{name} = {v!r} must be finite")
@@ -332,7 +328,7 @@ def prune_zero(node: Node) -> Node:
         for label, prob, child in node.branches
         if prob != 0.0
     )
-    if len(kept) == 1 and abs(kept[0][1] - 1.0) <= 1e-9:
+    if len(kept) == 1 and abs(kept[0][1] - 1.0) <= PROB_SUM_TOL:
         return kept[0][2]
     if len(kept) == len(node.branches) and all(
         new is old for (_, _, new), (_, _, old) in zip(kept, node.branches)

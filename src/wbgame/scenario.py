@@ -203,16 +203,15 @@ def render_scenario(s: Scenario) -> str:
 
 
 def _json_ready(value):
-    """Recursively make a structure JSON-safe; -inf becomes the string "-inf"."""
+    """Make a float, or a (nested) dict of floats and strings keyed by
+    :class:`Player` or string, JSON-safe; -inf becomes the string "-inf"."""
     if isinstance(value, float):
         return "-inf" if value == NEG_INF else value
     if isinstance(value, dict):
         return {
-            (k.value if isinstance(k, (Player, OutcomeClass)) else k): _json_ready(v)
+            (k.value if isinstance(k, Player) else k): _json_ready(v)
             for k, v in value.items()
         }
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
     return value
 
 
