@@ -49,7 +49,10 @@ from .tree import (
 
 
 class AnalysisError(ValueError):
-    """A precondition of an analysis operation failed (bad bracket, etc.)."""
+    """Valid inputs that have no answer: a threshold bracket whose ends share
+    an outcome support, or a lever base that already leaks. A bad argument
+    (unknown parameter, bad ``tol``, bracket or grid) raises a plain
+    :class:`ValueError` instead."""
 
 
 class OutcomeClass(Enum):
@@ -100,7 +103,19 @@ def alice_leaks(result: SolveResult) -> bool:
 
 def _check_param(param: str) -> None:
     if param not in model.PARAMETER_NAMES:
-        raise AnalysisError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
+        raise ValueError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def even_grid(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced values from ``lo`` to ``hi``, both included."""
+    if points < 2:
+        raise ValueError(f"need at least 2 grid points, got {points}")
+    return [lo + i * (hi - lo) / (points - 1) for i in range(points)]
 
 
 def _point(base: GameParameters, param: str, value: float) -> GameParameters:
@@ -160,9 +175,9 @@ def sweep(
     """
     _check_param(param)
     if len(grid) == 0:
-        raise AnalysisError("empty grid")
+        raise ValueError("empty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise AnalysisError("grid values must be strictly increasing")
+        raise ValueError("grid values must be strictly increasing")
 
     def point(value: float) -> SweepRow:
         try:
@@ -202,9 +217,7 @@ PRESCAN = 64
 def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, object]]:
     """(start, end, key at start) of each segment of a ``points``-point grid
     over [lo, hi] whose two ends have different ``key``."""
-    if points < 2:
-        raise AnalysisError(f"need at least 2 scan points, got {points}")
-    xs = [lo + i * (hi - lo) / (points - 1) for i in range(points)]
+    xs = even_grid(lo, hi, points)
     keys = [key(x) for x in xs]
     return [(xs[i], xs[i + 1], keys[i]) for i in range(points - 1) if keys[i] != keys[i + 1]]
 
@@ -268,10 +281,9 @@ def find_threshold(
     spacing": two flips inside one prescan segment look like none. Bisection
     stops at ``tol`` or at the float spacing, whichever is wider.
     """
-    if not 0 < tol < math.inf:  # NaN fails too
-        raise AnalysisError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if not lo < hi:
-        raise AnalysisError(f"invalid bracket [{lo!r}, {hi!r}]")
+        raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
 
     def support(value: float) -> frozenset[OutcomeClass]:
         return _probe(base, param, value, risk, ties)[0]
@@ -321,24 +333,22 @@ def lever_report(
     (publication too fast to block), lever 2 pushes the de-anonymisation
     adjustment I down to the same floor (unmasking Alice gets pricier),
     lever 3 raises trust w to 1. The base must currently solve to no leak.
-    A lever already at its limit (B = -inf, w = 1) has nowhere to move and
-    reports no flip.
+    A lever at or past its limit (B = -inf, B or I at or below the floor,
+    w = 1) has nowhere to move and reports no flip.
     """
-    if not 0 < tol < math.inf:  # NaN fails too
-        raise AnalysisError(f"tol must be positive and finite, got {tol!r}")
-    _, base_result = _solve_point(base, "w", base.w, risk, ties)
-    if alice_leaks(base_result):
+    _check_tol(tol)
+    if alice_leaks(solve(build_game(base), risk, ties)):
         raise AnalysisError("base scenario already solves to a leak; no lever needed")
 
-    searches = [
-        (LEVER_PUBLISH_FASTER, "B", base.B, LEVER_FLOOR),
-        (LEVER_RAISE_DEANON_COST, "I", base.I, LEVER_FLOOR),
-        (LEVER_BUILD_TRUST, "w", base.w, 1.0),
+    searches = [  # (lever, param, start, end, direction the lever moves param)
+        (LEVER_PUBLISH_FASTER, "B", base.B, LEVER_FLOOR, -1),
+        (LEVER_RAISE_DEANON_COST, "I", base.I, LEVER_FLOOR, -1),
+        (LEVER_BUILD_TRUST, "w", base.w, 1.0, 1),
     ]
     report = []
-    for lever, param, start, end in searches:
+    for lever, param, start, end, direction in searches:
         critical = None
-        if start != end and not math.isinf(start):  # else the lever is at its limit
+        if (end - start) * direction > 0:  # else the lever is at or past its limit
             critical, _, _ = _flip_search(
                 lambda v: _probe(base, param, v, risk, ties)[1], start, end, tol,
             )

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 scenario/option validation failure, 3 analysis
-failure (e.g. a threshold bracket whose ends share an outcome class),
-4 solver/oracle disagreement from ``validate``.
+Exit codes: 0 success, 2 a scenario or argument the tool rejects (the
+library raises ``ValueError``), 3 valid inputs with no answer (the library
+raises ``AnalysisError``, e.g. a threshold bracket whose ends share an
+outcome class), 4 solver/oracle disagreement from ``validate``. Only
+:func:`main` maps errors to exit codes.
 
 Every output embeds the effective parameter set and tool version in a
 metadata header (a ``meta`` object in json, ``# key: value`` lines
@@ -72,18 +74,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn = _load(args)
-    if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
-    grid = [
-        args.start + i * (args.stop - args.start) / (args.steps - 1)
-        for i in range(args.steps)
-    ]
-    try:
-        table = analysis.sweep(scn.parameters, args.param, grid, scn.risk, scn.ties)
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    grid = analysis.even_grid(args.start, args.stop, args.steps)
+    table = analysis.sweep(scn.parameters, args.param, grid, scn.risk, scn.ties)
     lines = [scenario.meta_header(_meta(args, scn, "sweep", {"param": args.param}))]
     classes = [c.value for c in OutcomeClass]
     lines.append(
@@ -107,12 +99,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     scn = _load(args)
-    if not args.lo < args.hi:
-        print(f"error: invalid bracket [--lo {args.lo}, --hi {args.hi}]", file=sys.stderr)
-        return USAGE_ERROR
-    if not 0 < args.tol < math.inf:  # NaN fails too
-        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
-        return USAGE_ERROR
     report = analysis.find_threshold(
         scn.parameters, args.param, args.lo, args.hi, args.tol, scn.risk, scn.ties
     )
@@ -129,9 +115,6 @@ def cmd_threshold(args) -> int:
 
 def cmd_levers(args) -> int:
     scn = _load(args)
-    if not 0 < args.tol < math.inf:  # NaN fails too
-        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
-        return USAGE_ERROR
     findings = analysis.lever_report(scn.parameters, scn.risk, scn.ties, args.tol)
     lines = [scenario.meta_header(_meta(args, scn, "levers"))]
     lines.append("lever,param,search_from,search_to,critical\n")
@@ -144,9 +127,6 @@ def cmd_levers(args) -> int:
 
 def cmd_simulate(args) -> int:
     scn = _load(args)
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     tree = build_game(scn.parameters)
     result = solve(tree, scn.risk, scn.ties)
     sim = analysis.simulate(tree, result.profile, args.n, args.seed)
@@ -180,11 +160,8 @@ def cmd_validate(args) -> int:
     certified = oracle.brute_force_spe(tree, scn.risk, scn.ties)
     profile_ok = certified.canonical == result.profile
     value_ok = all(
-        (
-            certified.canonical_root_value[p] == result.root_value[p]
-            if certified.canonical_root_value[p] == float("-inf")
-            else abs(certified.canonical_root_value[p] - result.root_value[p]) <= 1e-9
-        )
+        math.isclose(certified.canonical_root_value[p], result.root_value[p],
+                     rel_tol=0.0, abs_tol=1e-9)
         for p in (Player.ALICE, Player.TOM)
     )
     if not (profile_ok and value_ok):

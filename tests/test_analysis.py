@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,14 @@ def passive_tom(**overrides):
     base = dict(x=0.0, y=0.3, B=-100.0, C=0.0, D=0.0, E=0.0, F=0.0, G=0.0, H=-1.0, I=-1.0)
     base.update(overrides)
     return params(**base)
+
+
+@contextmanager
+def rejects_argument(match=None):
+    """A bad argument raises a plain ValueError, not the no-answer AnalysisError."""
+    with pytest.raises(ValueError, match=match) as info:
+        yield
+    assert not isinstance(info.value, AnalysisError)
 
 
 def test_classify_terminal():
@@ -77,11 +86,11 @@ class TestSweep:
         assert "x + y" in table.rows[2].error
 
     def test_grid_must_be_strictly_increasing(self):
-        with pytest.raises(AnalysisError):
+        with rejects_argument():
             sweep(params(), "w", [0.5, 0.5])
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(AnalysisError):
+        with rejects_argument():
             sweep(params(), "q", [0.0, 1.0])
 
     def test_rows_equal_independent_solves(self, baseline):
@@ -116,13 +125,13 @@ class TestFindThreshold:
             find_threshold(baseline.parameters, "H", -4.0, -3.5)
 
     def test_bad_bracket_rejected(self):
-        with pytest.raises(AnalysisError):
+        with rejects_argument():
             find_threshold(params(), "w", 0.8, 0.2)
-        with pytest.raises(AnalysisError):
+        with rejects_argument():
             find_threshold(params(), "w", 0.0, 1.0, tol=-1.0)
-        with pytest.raises(AnalysisError, match="tol must be positive"):
+        with rejects_argument(match="tol must be positive"):
             find_threshold(params(), "w", 0.0, 1.0, tol=math.nan)
-        with pytest.raises(AnalysisError, match="tol must be positive and finite, got inf"):
+        with rejects_argument(match="tol must be positive and finite, got inf"):
             find_threshold(params(), "w", 0.0, 1.0, tol=math.inf)
 
     def test_flip_in_the_grids_rounding_gap_is_still_bisected(self):
@@ -203,7 +212,7 @@ class TestLeverReport:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
     def test_tol_must_be_positive(self, baseline_noleak, tol):
-        with pytest.raises(AnalysisError, match="tol must be positive"):
+        with rejects_argument(match="tol must be positive"):
             lever_report(baseline_noleak.parameters, tol=tol)
 
     def test_tol_below_float_spacing_ends(self, baseline_noleak):
@@ -218,6 +227,21 @@ class TestLeverReport:
         shipped = lever_report(baseline_noleak.parameters)
         assert findings[0].param == "B" and findings[0].critical is None
         assert [f.critical for f in findings[1:]] == [f.critical for f in shipped[1:]]
+
+    def test_payoff_lever_below_the_floor_is_not_scanned_upward(self, baseline_noleak):
+        # scanning up to the floor would make blocking (B) or pursuit (I)
+        # more attractive to Tom, the opposite of each lever; both bases
+        # flip Alice to leaking at -1500 on the way up
+        base = baseline_noleak.parameters
+        past_b = replace(base, B=-2000.0, C=-1500.0, D=-1500.0, E=-1500.0, F=-1500.0,
+                         G=-1500.0, a=0.0, b=5.0, c=-50.0, d=-50.0, e=-50.0, f=-50.0,
+                         g=-50.0)
+        past_i = replace(base, I=-2000.0, C=1500.0, D=0.0, E=0.0, F=1500.0, G=1500.0,
+                         c=5.0, d=-5.0, e=-5.0, f=5.0, g=5.0)
+        for p, param in ((past_b, "B"), (past_i, "I")):
+            finding = next(f for f in lever_report(p) if f.param == param)
+            assert (finding.start, finding.end) == (-2000.0, -1000.0)
+            assert finding.critical is None, param
 
 
 class TestSimulate:

@@ -15,6 +15,18 @@ from wbgame.solver import solve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOL_COMMANDS = [["threshold", "--param", "w", "--lo", "0", "--hi", "1"], ["levers"]]
+# (argv after --scenario baseline_noleak, stderr): arguments the library rejects
+BAD_ARGUMENTS = [
+    (["threshold", "--param", "qq", "--lo", "0", "--hi", "1"], "error: unknown parameter 'qq'"),
+    (["sweep", "--param", "w", "--from", "0", "--to", "1", "--steps", "1"],
+     "error: need at least 2 grid points, got 1"),
+    (["simulate", "--n", "0", "--seed", "1"], "error: n must be >= 1, got 0"),
+]
+# (argv after --scenario baseline, stderr): valid arguments with no answer
+NO_ANSWERS = [
+    (["threshold", "--param", "H", "--lo", "-4", "--hi", "-3.5"], "match at both ends"),
+    (["levers"], "already solves to a leak"),
+]
 
 
 def run(capsys, *argv):
@@ -193,7 +205,7 @@ class TestThresholdValidation:
             "--param", "w", "--lo", "1", "--hi", "0",
         )
         assert code == 2
-        assert "invalid bracket" in err
+        assert "error: invalid bracket [1.0, 0.0]" in err
 
     def test_bad_tol_exits_2(self, capsys):
         for command in TOL_COMMANDS:
@@ -203,7 +215,19 @@ class TestThresholdValidation:
                     "--tol", tol,
                 )
                 assert code == 2, (command, tol)
-                assert "--tol must be positive" in err
+                assert "error: tol must be positive and finite" in err
+
+    @pytest.mark.parametrize("argv,message", BAD_ARGUMENTS)
+    def test_bad_argument_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--scenario", scenario_path("baseline_noleak"))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("argv,message", NO_ANSWERS)
+    def test_no_answer_exits_3(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--scenario", scenario_path("baseline"))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("command", TOL_COMMANDS)
     def test_tol_below_float_spacing_ends(self, command):

@@ -104,6 +104,17 @@ class TestParse:
             with pytest.raises(ScenarioError):
                 parse_scenario(MINIMAL.replace("e = 5", f"e = {token}"))
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", ["risk_alice", "risk_tom"])
+    def test_non_finite_risk_rejected_with_position(self, field, token):
+        # MINIMAL is 19 lines, so the risk line is line 20; a value's column
+        # is the one just after its "="
+        with pytest.raises(ScenarioError, match=f"{field} must be finite") as info:
+            parse_scenario(MINIMAL + f"{field} = {token}\n")
+        column = len(field) + 3
+        assert (info.value.line, info.value.column) == (20, column)
+        assert str(info.value) == f"line 20, column {column}: {field} must be finite"
+
     def test_bad_number_reported_with_position(self):
         with pytest.raises(ScenarioError, match="line 1"):
             parse_scenario(MINIMAL.replace("w = 0.6", "w = zero"))
