@@ -112,10 +112,11 @@ def _check_tol(tol: float) -> None:
 
 
 def even_grid(lo: float, hi: float, points: int) -> list[float]:
-    """``points`` evenly spaced values from ``lo`` to ``hi``, both included."""
+    """``points`` evenly spaced values from ``lo`` to ``hi``, both included;
+    the last is ``hi`` itself, not a sum that may round short of it."""
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    return [lo + i * (hi - lo) / (points - 1) for i in range(points)]
+    return [lo + i * (hi - lo) / (points - 1) for i in range(points - 1)] + [hi]
 
 
 def _point(base: GameParameters, param: str, value: float) -> GameParameters:
@@ -222,22 +223,17 @@ def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, ob
     return [(xs[i], xs[i + 1], keys[i]) for i in range(points - 1) if keys[i] != keys[i + 1]]
 
 
-def _flip_search(key, lo: float, hi: float, tol: float,
-                 key_lo: object = None) -> tuple[float | None, float, int]:
+def _flip_search(key, lo: float, hi: float, tol: float) -> tuple[float | None, float, int]:
     """Bisect the first change of ``key`` seen by a :data:`PRESCAN`-point grid on [lo, hi].
 
     Returns (that point, or None if the scan sees no change; the final
     bracket's width; changing segments). Stops at ``tol`` or the float
-    spacing. ``key_lo`` (key(lo) != key(hi) known) bisects all of [lo, hi] if
-    the change hides past the grid's rounded last point.
+    spacing.
     """
     segments = _scan(key, lo, hi, PRESCAN)
-    if segments:
-        a, b, key_a = segments[0]
-    elif key_lo is not None:
-        a, b, key_a = lo, hi, key_lo
-    else:
+    if not segments:
         return None, 0.0, 0
+    a, b, key_a = segments[0]
     while abs(b - a) > tol:
         mid = (a + b) / 2.0
         if mid == a or mid == b:
@@ -288,12 +284,11 @@ def find_threshold(
     def support(value: float) -> frozenset[OutcomeClass]:
         return _probe(base, param, value, risk, ties)[0]
 
-    sig_lo = support(lo)
-    if sig_lo == support(hi):
+    if support(lo) == support(hi):
         raise AnalysisError(
             f"outcome classes match at both ends of [{lo!r}, {hi!r}]; nothing to bracket"
         )
-    critical, width, flips = _flip_search(support, lo, hi, tol, sig_lo)
+    critical, width, flips = _flip_search(support, lo, hi, tol)
     # a tol below the float spacing would probe the critical point itself
     below = max(lo, min(critical - tol, math.nextafter(critical, -math.inf)))
     above = min(hi, max(critical + tol, math.nextafter(critical, math.inf)))

@@ -6,11 +6,13 @@ import pytest
 
 from test_model import params
 from wbgame.analysis import (
+    PRESCAN,
     AnalysisError,
     OutcomeClass,
     alice_leaks,
     class_distribution,
     classify_terminal,
+    even_grid,
     find_threshold,
     grid_scan_flip,
     lever_report,
@@ -134,14 +136,14 @@ class TestFindThreshold:
         with rejects_argument(match="tol must be positive and finite, got inf"):
             find_threshold(params(), "w", 0.0, 1.0, tol=math.inf)
 
-    def test_flip_in_the_grids_rounding_gap_is_still_bisected(self):
-        # hi is the first float past the 1/6 flip, and the prescan grid's last
-        # point rounds to one float short of hi, so no grid segment changes
+    def test_flip_just_below_hi_is_in_the_last_scan_segment(self):
+        # hi is the first float past the 1/6 flip; lo + 63 * (hi - lo) / 63
+        # rounds to one float short of hi, so the grid must end at hi itself
         p = passive_tom(a=-1.0, e=5.0)
         lo, hi = 0.0075, 0.16666666666666669
-        assert grid_scan_flip(p, "w", lo, hi, 64) == []
+        assert grid_scan_flip(p, "w", lo, hi, 64) == [(0.16414021164021167, hi)]
         report = find_threshold(p, "w", lo, hi, tol=1e-6)
-        assert report.critical == 0.16666636308034263  # bisected over all of [lo, hi]
+        assert abs(report.critical - 1 / 6) <= report.tol
         assert OutcomeClass.NO_LEAK in report.below_classes
         assert OutcomeClass.NO_LEAK not in report.above_classes
 
@@ -198,6 +200,18 @@ class TestLeverReport:
         # flip happens where B meets Tom's continuation value
         u3 = result.node_values["leak/trust/proceed"][Player.TOM]
         assert findings["B"].critical == pytest.approx(u3, abs=1e-5)
+
+    def test_trust_flip_just_below_one_is_found(self, baseline_noleak):
+        # Alice leaks at w = 1 but not one float below it, so the flip lies
+        # between the scan grid's last two points; a last point computed as
+        # start + 63 * (1 - start) / 63 rounds to 1 - 2**-53 and missed it
+        start = 0.046381377257436185
+        p = replace(baseline_noleak.parameters, w=start, B=100.0, b=1e-17)
+        assert even_grid(start, 1.0, PRESCAN)[-1] == 1.0
+        assert alice_leaks(solve(build_game(replace(p, w=1.0))))
+        assert not alice_leaks(solve(build_game(replace(p, w=math.nextafter(1.0, 0.0)))))
+        findings = {f.param: f for f in lever_report(p)}
+        assert 1.0 - 1e-6 <= findings["w"].critical < 1.0
 
     def test_no_flip_reported_when_trust_cannot_help(self):
         # subgame value for Alice is negative everywhere, so no amount of
