@@ -89,7 +89,7 @@ def parse_scenario(text: str) -> Scenario:
         key_part, value_part = line.split("=", 1)
         key = key_part.strip()
         value = value_part.strip()
-        column = raw_line.index("=") + 2
+        column = len(line) - len(value) + 1  # 1-based, the value's first character
         if key not in model.PARAMETER_NAMES and key not in OPTION_KEYS:
             raise ScenarioError(f"unknown key {key!r}", line_no, 1)
         if key in seen:

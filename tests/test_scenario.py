@@ -108,10 +108,10 @@ class TestParse:
     @pytest.mark.parametrize("field", ["risk_alice", "risk_tom"])
     def test_non_finite_risk_rejected_with_position(self, field, token):
         # MINIMAL is 19 lines, so the risk line is line 20; a value's column
-        # is the one just after its "="
+        # is that of its first character, one past the space after "="
         with pytest.raises(ScenarioError, match=f"{field} must be finite") as info:
             parse_scenario(MINIMAL + f"{field} = {token}\n")
-        column = len(field) + 3
+        column = len(field) + 4
         assert (info.value.line, info.value.column) == (20, column)
         assert str(info.value) == f"line 20, column {column}: {field} must be finite"
 
