@@ -173,9 +173,12 @@ class TestSimulate:
 
 
 class TestValidate:
-    def test_oracle_agrees(self, capsys):
+    @pytest.mark.parametrize(
+        "name", ["snowden", "baseline", "baseline_noleak", "weinstein_pre", "weinstein_post"]
+    )
+    def test_oracle_agrees(self, capsys, name):
         code, out, _ = run(
-            capsys, "validate", "--scenario", scenario_path("snowden"), "--no-meta"
+            capsys, "validate", "--scenario", scenario_path(name), "--no-meta"
         )
         assert code == 0
         assert "oracle agrees" in out
