@@ -202,9 +202,9 @@ class TestLeverReport:
         assert findings["B"].critical == pytest.approx(u3, abs=1e-5)
 
     def test_trust_flip_just_below_one_is_found(self, baseline_noleak):
-        # Alice leaks at w = 1 but not one float below it, so the flip lies
-        # between the scan grid's last two points; a last point computed as
-        # start + 63 * (1 - start) / 63 rounds to 1 - 2**-53 and missed it
+        # Alice leaks at w = 1 but not one float below it, and
+        # start + 63 * (1 - start) / 63 rounds to 1 - 2**-53, so the scan
+        # grid must end at 1 itself to see the flip
         start = 0.046381377257436185
         p = replace(baseline_noleak.parameters, w=start, B=100.0, b=1e-17)
         assert even_grid(start, 1.0, PRESCAN)[-1] == 1.0
