@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,8 +7,8 @@ import pytest
 from conftest import sample_parameters
 from wbgame.model import build_game, duncan_to_harry, prune_zero
 from wbgame.oracle import EnumerationCapError, brute_force_spe, enumerate_profiles
-from wbgame.solver import TiePolicy, TieRule, solve
-from wbgame.tree import Player, decision, terminal
+from wbgame.solver import TiePolicy, TieRule, expected_utility, one_shot_violations, solve
+from wbgame.tree import PLAYERS, Chance, Decision, Player, chance, decision, iter_nodes, terminal
 
 
 def test_single_binary_decision_yields_two_profiles():
@@ -141,3 +143,58 @@ def test_canonical_profile_matches_solver_on_tie_heavy_games(alice, tom):
         assert certified.canonical_root_value == solved.root_value
         tied_games += len(certified.spe_profiles) > 1
     assert tied_games >= 20  # the tie filter, not uniqueness, picks the profile
+
+
+def generic_tree(rng: random.Random, budget: int = 5):
+    """A random tree of no fixed shape, for keys the standard game never cuts.
+
+    The root is a chance node. Below it, decisions with 2 or 3 actions and
+    chance nodes with 2 or 3 branches nest while ``budget`` decisions last.
+    Its zero-probability branch leads to a decision with a -inf payoff.
+    Payoffs are integers in [-2, 2] and probabilities dyadic, so every value
+    is exact in floats and equal values really tie.
+    """
+    labels = itertools.count()
+
+    def leaf():
+        return terminal(f"t{next(labels)}", float(rng.randint(-2, 2)), float(rng.randint(-2, 2)))
+
+    def subtree(depth):
+        nonlocal budget
+        if depth == 0 or rng.random() < 0.25:
+            return leaf()
+        if budget and rng.random() < 0.6:
+            budget -= 1
+            actions = [(f"a{i}", subtree(depth - 1)) for i in range(rng.choice((2, 3)))]
+            return decision(rng.choice(PLAYERS), f"d{next(labels)}", actions,
+                            rng.choice((None, "a0", "a1")))
+        probs = rng.choice(((0.5, 0.5), (0.25, 0.75), (0.25, 0.25, 0.5), (0.5, 0.0, 0.5)))
+        return chance(f"c{next(labels)}",
+                      [(f"b{i}", p, subtree(depth - 1)) for i, p in enumerate(probs)])
+
+    doomed = rng.choice(((-math.inf, 0.0), (0.0, -math.inf)))
+    unreached = decision(rng.choice(PLAYERS), "z", [("x", terminal("doomed", *doomed)), ("y", leaf())])
+    return chance("root", [("p", 0.5, subtree(3)), ("q", 0.5, subtree(3)), ("z", 0.0, unreached)])
+
+
+def test_oracle_matches_one_shot_checks_on_generic_trees():
+    rng = random.Random(2718)
+    three_actions = chance_over_decisions = tied = 0
+    for _ in range(30):
+        tree = generic_tree(rng)
+        certified = brute_force_spe(tree)
+        assert certified.spe_profiles == [
+            p for p in enumerate_profiles(tree) if not one_shot_violations(tree, p)
+        ]
+        for profile, value in zip(certified.spe_profiles, certified.root_values):
+            assert value == expected_utility(tree, profile)
+        nodes = [node for _, node in iter_nodes(tree)][1:]
+        three_actions += any(type(n) is Decision and len(n.actions) == 3 for n in nodes)
+        chance_over_decisions += any(
+            type(n) is Chance
+            and sum(any(type(d) is Decision for _, d in iter_nodes(child)) for _, _, child in n.branches) > 1
+            for n in nodes
+        )
+        tied += len(certified.spe_profiles) > 1
+    # the draws cover the shapes the keys are cut for, and ties
+    assert min(three_actions, chance_over_decisions, tied) >= 5
