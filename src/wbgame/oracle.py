@@ -9,17 +9,23 @@ the solver uses, leaving one canonical profile that must match ``solve``.
 Per-subtree expected utilities are tabulated once per call: one table per
 node, keyed by ``id(node)`` (sound because the tree is validated first), that
 maps the restriction of a profile to the subtree's decisions to the
-subtree's value. Checking all profiles of the standard 9-decision tree then
-costs a few thousand lookups rather than millions of tree walks.
+subtree's value. The tables are filled on demand: an entry is computed from
+the child tables the first time a deviation check reads it, by cutting its
+key at fixed offsets into the children's keys and running the same float
+operations in the same order as tabulating every entry up front would.
+The checks reject most profiles at a deep node, so a call on the standard
+9-decision tree fills about 20 of its 1207 entries, and
+checking all its profiles costs a few thousand lookups rather than millions
+of tree walks.
 
 The lookups are the hot loop, so each is prepared once per call. A node's
 sub-profile key is cut from the full profile by ``operator.itemgetter`` over
 the positions of its subtree's decisions, which runs in C where a generator
 expression per lookup would not; ``itemgetter`` of one position returns the
-bare label, so a one-decision table is re-keyed by that label. A node with no
+bare label, so a one-decision table is keyed by that label. A node with no
 decision below it (every terminal, and a chance node over terminals only)
-has a one-entry table whose value no profile can change, so it is resolved
-to that constant before the loop.
+is resolved to its constant value before the loop, so a payoff the risk
+transform rejects fails before any profile is enumerated.
 """
 
 from __future__ import annotations
@@ -85,12 +91,61 @@ def enumerate_profiles(root: Node):
         yield dict(zip(ids, combo))
 
 
-def _build_tables(
-    root: Node, risk: RiskProfile
-) -> dict[int, tuple[tuple[int, ...], dict[tuple[str, ...], tuple[float, float]]]]:
+class _LazyTable(dict):
+    """Sub-profile key -> (alice, tom) EU; each entry is computed on its first read."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill  # reads child tables only, so no reference cycle
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
+def _part(entry, offset: int, width: int):
+    """Getter of a child's value from its parent's key tuple, in which the
+    child's ``width`` decisions start at ``offset``; ``entry`` is the child's
+    constant value when ``width`` is 0, else its table."""
+    if width == 0:
+        return lambda key: entry
+    if width == 1:  # one-decision tables are keyed by the bare label
+        return lambda key: entry[key[offset]]
+    end = offset + width
+    return lambda key: entry[key[offset:end]]
+
+
+def _chance_fill(probs: list[float], parts: list, width: int):
+    def fill(key):
+        if width == 1:
+            key = (key,)
+        alice = tom = 0.0
+        for prob, part in zip(probs, parts):
+            if prob > 0.0:  # 0 * -inf would be NaN
+                kid_value = part(key)
+                alice += prob * kid_value[0]
+                tom += prob * kid_value[1]
+        return alice, tom
+
+    return fill
+
+
+def _decision_fill(parts: dict, width: int):
+    def fill(key):
+        if width == 1:
+            key = (key,)
+        return parts[key[0]](key)
+
+    return fill
+
+
+def _build_tables(root: Node, risk: RiskProfile) -> dict[int, tuple[tuple[int, ...], object]]:
     """Per ``id(node)``: (``id`` of each decision in its subtree, in preorder,
-    sub-profile -> (alice, tom) EU)."""
-    tables: dict[int, tuple[tuple[int, ...], dict[tuple[str, ...], tuple[float, float]]]] = {}
+    its constant (alice, tom) EU when that tuple is empty, else its lazy
+    table keyed by sub-profile, or by the bare label for one decision)."""
+    tables: dict[int, tuple[tuple[int, ...], object]] = {}
 
     def walk(node: Node):
         if isinstance(node, Terminal):
@@ -98,29 +153,27 @@ def _build_tables(
                 risk_transform(node.payoffs[Player.ALICE], risk.alice),
                 risk_transform(node.payoffs[Player.TOM], risk.tom),
             )
-            entry = ((), {(): value})
-        elif isinstance(node, Chance):
-            kids = [(prob, walk(child)) for _, prob, child in node.branches]
-            ids: tuple[int, ...] = tuple(i for _, (kid_ids, _) in kids for i in kid_ids)
-            table: dict[tuple[str, ...], tuple[float, float]] = {}
-            for rows in itertools.product(*[kid_table.items() for _, (_, kid_table) in kids]):
-                key = tuple(k for kid_key, _ in rows for k in kid_key)
-                alice = tom = 0.0
-                for (prob, _), (_, kid_value) in zip(kids, rows):
-                    if prob > 0.0:  # 0 * -inf would be NaN
-                        alice += prob * kid_value[0]
-                        tom += prob * kid_value[1]
-                table[key] = (alice, tom)
-            entry = (ids, table)
+            entry = ((), value)
         else:
-            kids = [(label, walk(child)) for label, child in node.actions]
-            ids = (id(node),) + tuple(i for _, (kid_ids, _) in kids for i in kid_ids)
-            table = {}
-            for rows in itertools.product(*[kid_table.items() for _, (_, kid_table) in kids]):
-                key_rest = tuple(k for kid_key, _ in rows for k in kid_key)
-                for idx, (label, _) in enumerate(kids):
-                    table[(label,) + key_rest] = rows[idx][1]
-            entry = (ids, table)
+            is_chance = isinstance(node, Chance)
+            if is_chance:
+                edges = [(prob, child) for _, prob, child in node.branches]
+                ids: tuple[int, ...] = ()
+            else:
+                edges = node.actions
+                ids = (id(node),)
+            # each child's key is cut from this node's key at a fixed offset
+            parts = []
+            for _, child in edges:
+                kid_ids, kid_entry = walk(child)
+                parts.append(_part(kid_entry, len(ids), len(kid_ids)))
+                ids += kid_ids
+            if is_chance:
+                fill = _chance_fill([prob for prob, _ in edges], parts, len(ids))
+            else:
+                fill = _decision_fill(dict(zip([label for label, _ in edges], parts)), len(ids))
+            # no decision below (a chance node over terminals): resolve it now
+            entry = (ids, _LazyTable(fill)) if ids else ((), fill(()))
         tables[id(node)] = entry
         return entry
 
@@ -149,13 +202,8 @@ def brute_force_spe(
     # the table it keys, or (None, value) when no decision lies below it
     lookups: dict[int, tuple[itemgetter | None, object]] = {}
     for key, (sub_ids, table) in tables.items():
-        positions = [index_of[i] for i in sub_ids]
-        if not positions:
-            lookups[key] = (None, table[()])
-        elif len(positions) == 1:  # itemgetter(i) returns the bare label
-            lookups[key] = (itemgetter(positions[0]), {k[0]: v for k, v in table.items()})
-        else:
-            lookups[key] = (itemgetter(*positions), table)
+        # itemgetter of one position returns the bare label, as its table expects
+        lookups[key] = (itemgetter(*[index_of[i] for i in sub_ids]) if sub_ids else None, table)
 
     # per decision node: its index in a combo, the owner's value index, its
     # own lookup, one (label, lookup) per child, and the active action.
