@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 a scenario or argument the tool rejects (the
 library raises ``ValueError``), 3 valid inputs with no answer (the library
 raises ``AnalysisError``, e.g. a threshold bracket whose ends share an
-outcome class), 4 solver/oracle disagreement from ``validate``. Only
+outcome class), 4 a failed ``validate``: the solver and the oracle disagree,
+or the scenario's ``expected_outcome`` is not a modal class. Only
 :func:`main` maps errors to exit codes.
 
 Every output embeds the effective parameter set and tool version in a
@@ -171,6 +172,15 @@ def cmd_validate(args) -> int:
         print(f"  solver value:   {result.root_value}", file=sys.stderr)
         print(f"  oracle value:   {certified.canonical_root_value}", file=sys.stderr)
         return DISAGREEMENT
+    expected = scn.expected_outcome
+    if expected is not None:
+        dist = analysis.class_distribution(tree, result)
+        modal = max(dist, key=dist.get)
+        if dist[expected] < dist[modal]:  # a tie for the top counts as a match
+            print("expected outcome is not the modal class:", file=sys.stderr)
+            print(f"  expected: {expected.value} p={format_number(dist[expected])}", file=sys.stderr)
+            print(f"  modal:    {modal.value} p={format_number(dist[modal])}", file=sys.stderr)
+            return DISAGREEMENT
     lines = [scenario.meta_header(_meta(args, scn, "validate"))]
     lines.append(
         f"oracle agrees: canonical profile matches across "

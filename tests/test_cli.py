@@ -183,6 +183,31 @@ class TestValidate:
         assert code == 0
         assert "oracle agrees" in out
 
+    def test_unmet_expected_outcome_exits_4(self, capsys, tmp_path):
+        # MINIMAL solves to uncensored-anonymous at p = 0.48; blocked has p = 0
+        from test_scenario import MINIMAL
+
+        path = tmp_path / "blocked.scn"
+        path.write_text(MINIMAL + "expected_outcome = blocked\n")
+        code, out, err = run(capsys, "validate", "--scenario", str(path), "--no-meta")
+        assert code == 4
+        assert out == ""
+        assert "expected: blocked p=0.0" in err
+        assert "modal:    uncensored-anonymous p=0.48" in err
+
+    @pytest.mark.parametrize("expected", ["censored-anonymous", "uncensored-anonymous"])
+    def test_expected_outcome_tied_for_the_top_passes(self, capsys, tmp_path, expected):
+        # dyadic chances: both classes have p = 0.375 exactly, the top
+        from test_scenario import MINIMAL
+
+        text = MINIMAL.replace("w = 0.6", "w = 0.75").replace("x = 0.2", "x = 0.5")
+        text = text.replace("y = 0.3", "y = 0.25")
+        path = tmp_path / "tied.scn"
+        path.write_text(text + f"expected_outcome = {expected}\n")
+        code, out, err = run(capsys, "validate", "--scenario", str(path), "--no-meta")
+        assert (code, err) == (0, "")
+        assert "oracle agrees" in out
+
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # force the oracle to contradict the solver to exercise the failure path
         import wbgame.cli as cli_mod
