@@ -118,8 +118,11 @@ def _part(entry, offset: int, width: int):
 
 
 def _chance_fill(probs: list[float], parts: list, width: int):
+    """Entry of a chance node's table over ``width`` decisions: its
+    children's values weighted by branch probability."""
+
     def fill(key):
-        if width == 1:
+        if width == 1:  # a one-decision key is the bare label
             key = (key,)
         alice = tom = 0.0
         for prob, part in zip(probs, parts):
@@ -133,6 +136,9 @@ def _chance_fill(probs: list[float], parts: list, width: int):
 
 
 def _decision_fill(parts: dict, width: int):
+    """Entry of a decision node's table over ``width`` decisions: the value of
+    the child its own label (the key's first) picks."""
+
     def fill(key):
         if width == 1:
             key = (key,)
