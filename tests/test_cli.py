@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import scenario_path
+from test_scenario import MINIMAL
 from wbgame import cli
 from wbgame.cli import main
 from wbgame.model import build_game, prune_zero
@@ -185,8 +186,6 @@ class TestValidate:
 
     def test_unmet_expected_outcome_exits_4(self, capsys, tmp_path):
         # MINIMAL solves to uncensored-anonymous at p = 0.48; blocked has p = 0
-        from test_scenario import MINIMAL
-
         path = tmp_path / "blocked.scn"
         path.write_text(MINIMAL + "expected_outcome = blocked\n")
         code, out, err = run(capsys, "validate", "--scenario", str(path), "--no-meta")
@@ -198,8 +197,6 @@ class TestValidate:
     @pytest.mark.parametrize("expected", ["censored-anonymous", "uncensored-anonymous"])
     def test_expected_outcome_tied_for_the_top_passes(self, capsys, tmp_path, expected):
         # dyadic chances: both classes have p = 0.375 exactly, the top
-        from test_scenario import MINIMAL
-
         text = MINIMAL.replace("w = 0.6", "w = 0.75").replace("x = 0.2", "x = 0.5")
         text = text.replace("y = 0.3", "y = 0.25")
         path = tmp_path / "tied.scn"
