@@ -9,11 +9,16 @@ the solved strategy forward with a seeded generator to validate the solver's
 probability arithmetic empirically.
 
 The threshold and lever searches probe many nearby points, so each probe
-evaluates the compiled :data:`wbgame.model.GAME_PLAN` with
-:func:`wbgame.solver.solve_plan`, which gives the solver's answer bit for bit
-without building a tree. What a report states about a single point (the
-supports either side of a flip, the lever base's no-leak check) still comes
-from :func:`wbgame.solver.solve`.
+evaluates the compiled :data:`wbgame.model.GAME_PLAN`, which gives the
+solver's answer bit for bit without building a tree. Each search changes one
+parameter, so it keeps one incremental :class:`wbgame.solver.PlanEvaluator`:
+its first probe evaluates every slot of the plan, and later probes only the
+slots that read a value the parameter moves (:data:`wbgame.model.MOVED_VALUES`)
+and the slots above them, 2 of 39 for ``w`` and 24 for ``I``.
+:func:`grid_scan_flip`, the referee the searches are tested against, takes one
+fresh full evaluation per point instead. What a report states about a single
+point (the supports either side of a flip, the lever base's no-leak check)
+still comes from :func:`wbgame.solver.solve`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .model import GameParameters, build_game
 from .solver import (
     PAPER_TIES,
     RISK_NEUTRAL,
+    PlanEvaluator,
     RiskProfile,
     SolveResult,
     TiePolicy,
@@ -134,14 +140,30 @@ def _solve_point(base: GameParameters, param: str, value: float,
     return tree, solve(tree, risk, ties)
 
 
+def _answer(solved: tuple[frozenset[str], str | None]) -> tuple[frozenset[OutcomeClass], bool]:
+    labels, root_choice = solved
+    return frozenset(map(OutcomeClass, labels)), root_choice == "leak"
+
+
 def _probe(base: GameParameters, param: str, value: float,
            risk: RiskProfile, ties: TiePolicy) -> tuple[frozenset[OutcomeClass], bool]:
     """Outcome support and Alice's leak decision at one point, from the
     compiled plan: the same answer as ``outcome_support`` and ``alice_leaks``
     of :func:`_solve_point`, without building or solving a tree."""
     values = model.plan_values(_point(base, param, value))
-    labels, root_choice = solve_plan(model.GAME_PLAN, values, risk, ties)
-    return frozenset(map(OutcomeClass, labels)), root_choice == "leak"
+    return _answer(solve_plan(model.GAME_PLAN, values, risk, ties))
+
+
+def _prober(base: GameParameters, param: str, risk: RiskProfile, ties: TiePolicy):
+    """``value -> _probe(base, param, value, risk, ties)``, from one
+    incremental evaluator that re-evaluates only the slots ``param`` reaches."""
+    _check_param(param)
+    evaluate = PlanEvaluator(model.GAME_PLAN, risk, ties, model.MOVED_VALUES[param])
+
+    def probe(value: float) -> tuple[frozenset[OutcomeClass], bool]:
+        return _answer(evaluate(model.plan_values(_point(base, param, value))))
+
+    return probe
 
 
 @dataclass(frozen=True)
@@ -281,8 +303,10 @@ def find_threshold(
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
 
+    probe = _prober(base, param, risk, ties)
+
     def support(value: float) -> frozenset[OutcomeClass]:
-        return _probe(base, param, value, risk, ties)[0]
+        return probe(value)[0]
 
     if support(lo) == support(hi):
         raise AnalysisError(
@@ -344,9 +368,8 @@ def lever_report(
     for lever, param, start, end, direction in searches:
         critical = None
         if (end - start) * direction > 0:  # else the lever is at or past its limit
-            critical, _, _ = _flip_search(
-                lambda v: _probe(base, param, v, risk, ties)[1], start, end, tol,
-            )
+            probe = _prober(base, param, risk, ties)
+            critical, _, _ = _flip_search(lambda v: probe(v)[1], start, end, tol)
         report.append(LeverFinding(lever, param, start, end, critical))
     return report
 

@@ -194,6 +194,18 @@ def plan_values(p: GameParameters) -> list[float]:
     return [*_parameter_values(p), 1.0 - p.w, neutral, 1.0 - p.z, 0.0]
 
 
+#: the derived values of :func:`plan_values` that each parameter also moves
+_DERIVED = {"w": ("1-w",), "x": ("neutral",), "y": ("neutral",), "z": ("1-z",)}
+
+#: parameter -> indices into :func:`plan_values` of every value that changes
+#: when only that parameter does: its own entry, plus ``1-w`` for w,
+#: ``neutral`` for x and y, and ``1-z`` for z
+MOVED_VALUES = {
+    name: tuple(PLAN_VALUE_NAMES.index(v) for v in (name, *_DERIVED.get(name, ())))
+    for name in PARAMETER_NAMES
+}
+
+
 def _game_plan() -> Plan:
     """The one description of the game's shape; see the module docstring.
 

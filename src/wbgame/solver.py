@@ -190,6 +190,116 @@ def solve(root: Node, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_
     return SolveResult(profile, node_values, root_value, distribution)
 
 
+class PlanEvaluator:
+    """:func:`solve_plan` for a run of value vectors that differ only at ``moved``.
+
+    ``moved`` holds indices into the plan's value vector; every vector passed
+    must equal the first one everywhere else. The first call evaluates every
+    slot. Later calls re-evaluate only the slots :meth:`Plan.dependents`
+    lists for ``moved``; every other slot keeps its value, chosen child and
+    choice from before, which that slot would compute again bit for bit. Each
+    call therefore answers exactly as a fresh ``solve_plan`` at its vector
+    would, and raises the same error. A call that raises leaves no stale
+    slot behind: the slots it may have written are re-evaluated by the next
+    call, or, if no call has succeeded yet, every slot is.
+
+    Without ``moved`` every call evaluates every slot.
+    """
+
+    def __init__(self, plan: Plan, risk: RiskProfile = RISK_NEUTRAL,
+                 ties: TiePolicy = PAPER_TIES, moved=None) -> None:
+        self.plan = plan
+        self.risk = risk
+        self.ties = ties
+        count = len(plan.slots)
+        #: per-slot values for each player, chosen child slot and chosen label
+        self._alice = [0.0] * count
+        self._tom = [0.0] * count
+        self._chosen = [0] * count
+        self._choices: list[str | None] = [None] * count
+        if moved is None:
+            self._terminals, self._inner = plan.terminals, plan.inner
+        else:
+            slots = plan.slots
+            dependent = plan.dependents(moved)
+            self._terminals = [i for i in dependent if slots[i].kind is Terminal]
+            self._inner = [i for i in dependent if slots[i].kind is not Terminal]
+        #: whether a call has evaluated every slot without raising
+        self._primed = False
+
+    def __call__(self, values) -> tuple[frozenset[str], str | None]:
+        plan = self.plan
+        slots = plan.slots
+        ext = plan.extend(values)
+        if self._primed:
+            terminals, inner = self._terminals, self._inner
+        else:
+            terminals, inner = plan.terminals, plan.inner
+        alice_v, tom_v, chosen, choices = self._alice, self._tom, self._chosen, self._choices
+        # solve validates the whole tree before it transforms any payoff
+        for i in terminals:
+            alice_at, tom_at = slots[i].payoffs
+            a = alice_v[i] = ext[alice_at]
+            t = tom_v[i] = ext[tom_at]
+            if not (NEG_INF <= a < math.inf and NEG_INF <= t < math.inf):  # NaN fails too
+                require_valid(plan.instantiate(values))  # raises solve's error
+        alpha_alice, alpha_tom = self.risk.alice, self.risk.tom
+        if alpha_alice != 0.0 or alpha_tom != 0.0:
+            for i in terminals:
+                alice_v[i] = risk_transform(alice_v[i], alpha_alice)
+                tom_v[i] = risk_transform(tom_v[i], alpha_tom)
+
+        rule_for = self.ties.rule_for
+        for i in inner:
+            kind, _, owner, active, labels, children, probs, _ = slots[i]
+            if kind is Chance:
+                acc_alice = acc_tom = 0.0
+                for q, c in zip(probs, children):
+                    prob = ext[q]
+                    if prob > 0.0:  # 0 * -inf would be NaN
+                        acc_alice += prob * alice_v[c]
+                        acc_tom += prob * tom_v[c]
+                alice_v[i] = acc_alice
+                tom_v[i] = acc_tom
+            else:
+                own = alice_v if owner is Player.ALICE else tom_v
+                winners: list[str] = []
+                best = NEG_INF
+                for label, c in zip(labels, children):
+                    v = own[c]
+                    if v > best or not winners:
+                        best = v
+                        winners = [label]
+                    elif v == best:
+                        winners.append(label)
+                choice = preferred_on_tie(winners, rule_for(owner), active)
+                c = children[labels.index(choice)]
+                alice_v[i] = alice_v[c]
+                tom_v[i] = tom_v[c]
+                chosen[i] = c
+                choices[i] = choice
+        self._primed = True
+
+        # reach probabilities as unchecked_reach_probabilities multiplies them;
+        # a subtree reached with probability 0 keeps 0 all the way down
+        reached: set[str] = set()
+        stack = [(len(slots) - 1, 1.0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            i, prob = pop()
+            if not prob > 0.0:
+                continue
+            kind, label, _, _, _, children, probs, _ = slots[i]
+            if kind is Terminal:
+                reached.add(label)
+            elif kind is Chance:
+                for q, c in zip(probs, children):
+                    push((c, prob * ext[q]))
+            else:
+                push((chosen[i], prob))
+        return frozenset(reached), choices[-1]
+
+
 def solve_plan(
     plan: Plan, values, risk: RiskProfile = RISK_NEUTRAL, ties: TiePolicy = PAPER_TIES
 ) -> tuple[frozenset[str], str | None]:
@@ -202,74 +312,12 @@ def solve_plan(
     nodes, with no tree, node ids or dicts built. ``values`` must give chance
     probabilities that :func:`wbgame.tree.validate_tree` accepts; a payoff it
     would reject raises the same ``invalid tree`` error as ``solve``.
+
+    This is one full evaluation by a fresh :class:`PlanEvaluator`. A caller
+    that probes many values of one parameter keeps one evaluator instead,
+    which re-evaluates only the slots that parameter reaches.
     """
-    slots = plan.slots
-    ext = plan.extend(values)
-    count = len(slots)
-    alice_v = [0.0] * count
-    tom_v = [0.0] * count
-    # solve validates the whole tree before it transforms any payoff
-    for i in plan.terminals:
-        alice_at, tom_at = slots[i].payoffs
-        a = alice_v[i] = ext[alice_at]
-        t = tom_v[i] = ext[tom_at]
-        if not (NEG_INF <= a < math.inf and NEG_INF <= t < math.inf):  # NaN fails too
-            require_valid(plan.instantiate(values))  # raises solve's error
-    alpha_alice, alpha_tom = risk.alice, risk.tom
-    if alpha_alice != 0.0 or alpha_tom != 0.0:
-        for i in plan.terminals:
-            alice_v[i] = risk_transform(alice_v[i], alpha_alice)
-            tom_v[i] = risk_transform(tom_v[i], alpha_tom)
-
-    chosen = [0] * count
-    choices: list[str | None] = [None] * count
-    for i in plan.inner:
-        kind, _, owner, active, labels, children, probs, _ = slots[i]
-        if kind is Chance:
-            acc_alice = acc_tom = 0.0
-            for q, c in zip(probs, children):
-                prob = ext[q]
-                if prob > 0.0:  # 0 * -inf would be NaN
-                    acc_alice += prob * alice_v[c]
-                    acc_tom += prob * tom_v[c]
-            alice_v[i] = acc_alice
-            tom_v[i] = acc_tom
-        else:
-            own = alice_v if owner is Player.ALICE else tom_v
-            winners: list[str] = []
-            best = NEG_INF
-            for label, c in zip(labels, children):
-                v = own[c]
-                if v > best or not winners:
-                    best = v
-                    winners = [label]
-                elif v == best:
-                    winners.append(label)
-            choice = preferred_on_tie(winners, ties.rule_for(owner), active)
-            c = children[labels.index(choice)]
-            alice_v[i] = alice_v[c]
-            tom_v[i] = tom_v[c]
-            chosen[i] = c
-            choices[i] = choice
-
-    # reach probabilities as unchecked_reach_probabilities multiplies them;
-    # a subtree reached with probability 0 keeps 0 all the way down
-    reached: set[str] = set()
-    stack = [(count - 1, 1.0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        i, prob = pop()
-        if not prob > 0.0:
-            continue
-        kind, label, _, _, _, children, probs, _ = slots[i]
-        if kind is Terminal:
-            reached.add(label)
-        elif kind is Chance:
-            for q, c in zip(probs, children):
-                push((c, prob * ext[q]))
-        else:
-            push((chosen[i], prob))
-    return frozenset(reached), choices[-1]
+    return PlanEvaluator(plan, risk, ties)(values)
 
 
 def _eu_walk(node: Node, chosen: dict[int, Node], risk: RiskProfile) -> dict[Player, float]:

@@ -373,6 +373,25 @@ class Plan:
             (),
         ))
 
+    def dependents(self, indices) -> list[int]:
+        """The slots, in post-order, that depend on a value at one of ``indices``.
+
+        ``indices`` index :attr:`value_names`. A slot depends on them when it is
+        a terminal whose payoff sum uses one, a chance slot whose probability is
+        one, or an ancestor of such a slot; every other slot's value stays the
+        same however those values change.
+        """
+        moved = set(indices)
+        first_sum = len(self.value_names)
+        for k, (first, rest) in enumerate(self.sums):
+            if first in moved or not moved.isdisjoint(rest):
+                moved.add(first_sum + k)
+        hit = [False] * len(self.slots)
+        for i, slot in enumerate(self.slots):  # children come before their parent
+            hit[i] = (not moved.isdisjoint(slot.payoffs) or not moved.isdisjoint(slot.probs)
+                      or any(hit[c] for c in slot.children))
+        return [i for i, h in enumerate(hit) if h]
+
     def extend(self, values) -> list[float]:
         """``values`` followed by the plan's payoff sums, each summed left to right."""
         ext = list(values)
