@@ -119,9 +119,15 @@ def _check_tol(tol: float) -> None:
 
 def even_grid(lo: float, hi: float, points: int) -> list[float]:
     """``points`` evenly spaced values from ``lo`` to ``hi``, both included;
-    the last is ``hi`` itself, not a sum that may round short of it."""
+    the last is ``hi`` itself, not a sum that may round short of it.
+
+    ``lo``, ``hi`` and the width ``hi - lo`` must be finite: an infinite one
+    would make the inner points NaN.
+    """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
+    if not math.isfinite(hi - lo):  # also inf or NaN when lo or hi is
+        raise ValueError(f"grid bracket [{lo!r}, {hi!r}] needs finite ends and a finite width")
     return [lo + i * (hi - lo) / (points - 1) for i in range(points - 1)] + [hi]
 
 
@@ -199,7 +205,7 @@ def sweep(
     _check_param(param)
     if len(grid) == 0:
         raise ValueError("empty grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(not a < b for a, b in zip(grid, grid[1:])):  # NaN fails too
         raise ValueError("grid values must be strictly increasing")
 
     def point(value: float) -> SweepRow:
