@@ -243,22 +243,21 @@ class ThresholdReport:
 PRESCAN = 64
 
 
-def _scan(key, lo: float, hi: float, points: int) -> list[tuple[float, float, object]]:
-    """(start, end, key at start) of each segment of a ``points``-point grid
-    over [lo, hi] whose two ends have different ``key``."""
-    xs = even_grid(lo, hi, points)
+def _scan(key, xs: list[float]) -> list[tuple[float, float, object]]:
+    """(start, end, key at start) of each segment of the grid ``xs`` whose
+    two ends have different ``key``."""
     keys = [key(x) for x in xs]
-    return [(xs[i], xs[i + 1], keys[i]) for i in range(points - 1) if keys[i] != keys[i + 1]]
+    return [(xs[i], xs[i + 1], keys[i]) for i in range(len(xs) - 1) if keys[i] != keys[i + 1]]
 
 
-def _flip_search(key, lo: float, hi: float, tol: float) -> tuple[float | None, float, int]:
-    """Bisect the first change of ``key`` seen by a :data:`PRESCAN`-point grid on [lo, hi].
+def _flip_search(key, xs: list[float], tol: float) -> tuple[float | None, float, int]:
+    """Bisect the first change of ``key`` seen on the scan grid ``xs``.
 
     Returns (that point, or None if the scan sees no change; the final
     bracket's width; changing segments). Stops at ``tol`` or the float
     spacing.
     """
-    segments = _scan(key, lo, hi, PRESCAN)
+    segments = _scan(key, xs)
     if not segments:
         return None, 0.0, 0
     a, b, key_a = segments[0]
@@ -283,7 +282,7 @@ def grid_scan_flip(
     ties: TiePolicy = PAPER_TIES,
 ) -> list[tuple[float, float]]:
     """Consecutive grid segments whose endpoints have different outcome support."""
-    segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], lo, hi, points)
+    segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], even_grid(lo, hi, points))
     return [(a, b) for a, b, _ in segments]
 
 
@@ -308,6 +307,7 @@ def find_threshold(
     _check_tol(tol)
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
+    xs = even_grid(lo, hi, PRESCAN)  # before any probe: a bracket it rejects is a bad argument
 
     probe = _prober(base, param, risk, ties)
 
@@ -318,7 +318,7 @@ def find_threshold(
         raise AnalysisError(
             f"outcome classes match at both ends of [{lo!r}, {hi!r}]; nothing to bracket"
         )
-    critical, width, flips = _flip_search(support, lo, hi, tol)
+    critical, width, flips = _flip_search(support, xs, tol)
     # a tol below the float spacing would probe the critical point itself
     below = max(lo, min(critical - tol, math.nextafter(critical, -math.inf)))
     above = min(hi, max(critical + tol, math.nextafter(critical, math.inf)))
@@ -375,7 +375,8 @@ def lever_report(
         critical = None
         if (end - start) * direction > 0:  # else the lever is at or past its limit
             probe = _prober(base, param, risk, ties)
-            critical, _, _ = _flip_search(lambda v: probe(v)[1], start, end, tol)
+            xs = even_grid(start, end, PRESCAN)
+            critical, _, _ = _flip_search(lambda v: probe(v)[1], xs, tol)
         report.append(LeverFinding(lever, param, start, end, critical))
     return report
 
