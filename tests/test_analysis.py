@@ -95,6 +95,22 @@ class TestSweep:
         with rejects_argument():
             sweep(params(), "q", [0.0, 1.0])
 
+    @pytest.mark.parametrize("lo, hi", [
+        (-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0),
+    ])
+    def test_grid_with_an_infinite_end_or_width_rejected(self, lo, hi):
+        # the inner points would be NaN: even_grid(-inf, 0, 3) was [nan, nan, 0.0]
+        with rejects_argument(match=r"grid bracket \[.*\] needs finite ends"):
+            even_grid(lo, hi, 3)
+
+    def test_nan_grid_value_rejected(self):
+        with rejects_argument(match="strictly increasing"):
+            sweep(params(), "w", [0.0, math.nan, 1.0])
+
+    def test_explicit_grid_may_start_at_minus_infinity(self):
+        table = sweep(params(), "B", [-math.inf, 0.0])
+        assert [row.valid for row in table.rows] == [True, True]
+
     def test_rows_equal_independent_solves(self, baseline):
         grid = [0.1, 0.4, 0.9]
         table = sweep(baseline.parameters, "w", grid)
@@ -135,6 +151,13 @@ class TestFindThreshold:
             find_threshold(params(), "w", 0.0, 1.0, tol=math.nan)
         with rejects_argument(match="tol must be positive and finite, got inf"):
             find_threshold(params(), "w", 0.0, 1.0, tol=math.inf)
+
+    @pytest.mark.parametrize("param, lo, hi", [("B", -math.inf, 10.0), ("a", -1e308, 1e308)])
+    def test_bracket_with_an_infinite_end_or_width_rejected(self, baseline, param, lo, hi):
+        # rejected before any probe, whether or not the two ends' supports differ
+        for base in (baseline.parameters, replace(baseline.parameters, w=0.0)):
+            with rejects_argument(match=r"grid bracket \[.*\] needs finite ends"):
+                find_threshold(base, param, lo, hi)
 
     def test_flip_just_below_hi_is_in_the_last_scan_segment(self):
         # hi is the first float past the 1/6 flip; lo + 63 * (hi - lo) / 63

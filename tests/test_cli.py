@@ -22,6 +22,12 @@ BAD_ARGUMENTS = [
     (["sweep", "--param", "w", "--from", "0", "--to", "1", "--steps", "1"],
      "error: need at least 2 grid points, got 1"),
     (["simulate", "--n", "0", "--seed", "1"], "error: n must be >= 1, got 0"),
+    (["sweep", "--param", "B", "--from=-inf", "--to", "0", "--steps", "3"],
+     "error: grid bracket [-inf, 0.0] needs finite ends and a finite width"),
+    (["threshold", "--param", "B", "--lo=-inf", "--hi", "10"],
+     "error: grid bracket [-inf, 10.0] needs finite ends and a finite width"),
+    (["threshold", "--param", "a", "--lo=-1e308", "--hi", "1e308"],
+     "error: grid bracket [-1e+308, 1e+308] needs finite ends and a finite width"),
 ]
 # (argv after --scenario baseline, stderr): valid arguments with no answer
 NO_ANSWERS = [
