@@ -14,7 +14,9 @@ solver's answer bit for bit without building a tree. Each search changes one
 parameter, so it keeps one incremental :class:`wbgame.solver.PlanEvaluator`:
 its first probe evaluates every slot of the plan, and later probes only the
 slots that read a value the parameter moves (:data:`wbgame.model.MOVED_VALUES`)
-and the slots above them, 2 of 39 for ``w`` and 24 for ``I``.
+and the slots above them, 2 of 39 for ``w`` and 24 for ``I``. A search probes
+each point once and compares the plan's answers as they come: a terminal's
+label is its outcome class's value, so equal label sets are equal supports.
 :func:`grid_scan_flip`, the referee the searches are tested against, takes one
 fresh full evaluation per point instead. What a report states about a single
 point (the supports either side of a flip, the lever base's no-leak check)
@@ -146,30 +148,21 @@ def _solve_point(base: GameParameters, param: str, value: float,
     return tree, solve(tree, risk, ties)
 
 
-def _answer(solved: tuple[frozenset[str], str | None]) -> tuple[frozenset[OutcomeClass], bool]:
-    labels, root_choice = solved
-    return frozenset(map(OutcomeClass, labels)), root_choice == "leak"
-
-
 def _probe(base: GameParameters, param: str, value: float,
-           risk: RiskProfile, ties: TiePolicy) -> tuple[frozenset[OutcomeClass], bool]:
-    """Outcome support and Alice's leak decision at one point, from the
-    compiled plan: the same answer as ``outcome_support`` and ``alice_leaks``
-    of :func:`_solve_point`, without building or solving a tree."""
-    values = model.plan_values(_point(base, param, value))
-    return _answer(solve_plan(model.GAME_PLAN, values, risk, ties))
+           risk: RiskProfile, ties: TiePolicy) -> tuple[frozenset[str], str | None]:
+    """Labels of the terminals reached and Alice's root action at one point,
+    from the compiled plan: :func:`wbgame.solver.solve_plan`'s answer, which
+    ``outcome_support`` and ``alice_leaks`` of :func:`_solve_point` read the
+    same, without building or solving a tree."""
+    return solve_plan(model.GAME_PLAN, model.plan_values(_point(base, param, value)), risk, ties)
 
 
 def _prober(base: GameParameters, param: str, risk: RiskProfile, ties: TiePolicy):
-    """``value -> _probe(base, param, value, risk, ties)``, from one
-    incremental evaluator that re-evaluates only the slots ``param`` reaches."""
+    """``value -> _probe(base, param, value, risk, ties)``, the plan's own
+    answer, from one incremental evaluator that re-evaluates only the slots ``param`` reaches."""
     _check_param(param)
     evaluate = PlanEvaluator(model.GAME_PLAN, risk, ties, model.MOVED_VALUES[param])
-
-    def probe(value: float) -> tuple[frozenset[OutcomeClass], bool]:
-        return _answer(evaluate(model.plan_values(_point(base, param, value))))
-
-    return probe
+    return lambda value: evaluate(model.plan_values(_point(base, param, value)))
 
 
 @dataclass(frozen=True)
@@ -243,23 +236,30 @@ class ThresholdReport:
 PRESCAN = 64
 
 
-def _scan(key, xs: list[float]) -> list[tuple[float, float, object]]:
-    """(start, end, key at start) of each segment of the grid ``xs`` whose
-    two ends have different ``key``."""
-    keys = [key(x) for x in xs]
-    return [(xs[i], xs[i + 1], keys[i]) for i in range(len(xs) - 1) if keys[i] != keys[i + 1]]
+def _scan(key, xs: list[float]) -> tuple[list, list[tuple[float, float, object]]]:
+    """``key`` at every point of the grid ``xs``, and (start, end, key at
+    start) of each segment whose two ends have different ``key``.
+
+    The two ends are probed first, so an end that ``key`` rejects raises the
+    error that names it, before any inner point the caller never gave.
+    """
+    first, last = key(xs[0]), key(xs[-1])
+    keys = [first, *map(key, xs[1:-1]), last]
+    segments = [(xs[i], xs[i + 1], keys[i]) for i in range(len(xs) - 1) if keys[i] != keys[i + 1]]
+    return keys, segments
 
 
-def _flip_search(key, xs: list[float], tol: float) -> tuple[float | None, float, int]:
-    """Bisect the first change of ``key`` seen on the scan grid ``xs``.
+def _flip_search(key, lo: float, hi: float, tol: float) -> tuple:
+    """Bisect the first change of ``key`` on a :data:`PRESCAN`-point scan
+    from ``lo`` to ``hi``, a grid built before the first probe.
 
     Returns (that point, or None if the scan sees no change; the final
-    bracket's width; changing segments). Stops at ``tol`` or the float
-    spacing.
+    bracket's width; changing segments; ``key`` at ``lo``; ``key`` at
+    ``hi``). Stops at ``tol`` or the float spacing.
     """
-    segments = _scan(key, xs)
+    keys, segments = _scan(key, even_grid(lo, hi, PRESCAN))
     if not segments:
-        return None, 0.0, 0
+        return None, 0.0, 0, keys[0], keys[-1]
     a, b, key_a = segments[0]
     while abs(b - a) > tol:
         mid = (a + b) / 2.0
@@ -269,7 +269,7 @@ def _flip_search(key, xs: list[float], tol: float) -> tuple[float | None, float,
             a = mid
         else:
             b = mid
-    return (a + b) / 2.0, b - a, len(segments)
+    return (a + b) / 2.0, b - a, len(segments), keys[0], keys[-1]
 
 
 def grid_scan_flip(
@@ -282,7 +282,7 @@ def grid_scan_flip(
     ties: TiePolicy = PAPER_TIES,
 ) -> list[tuple[float, float]]:
     """Consecutive grid segments whose endpoints have different outcome support."""
-    segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], even_grid(lo, hi, points))
+    _, segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], even_grid(lo, hi, points))
     return [(a, b) for a, b, _ in segments]
 
 
@@ -307,18 +307,12 @@ def find_threshold(
     _check_tol(tol)
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
-    xs = even_grid(lo, hi, PRESCAN)  # before any probe: a bracket it rejects is a bad argument
-
     probe = _prober(base, param, risk, ties)
-
-    def support(value: float) -> frozenset[OutcomeClass]:
-        return probe(value)[0]
-
-    if support(lo) == support(hi):
+    critical, width, flips, at_lo, at_hi = _flip_search(lambda v: probe(v)[0], lo, hi, tol)
+    if at_lo == at_hi:
         raise AnalysisError(
             f"outcome classes match at both ends of [{lo!r}, {hi!r}]; nothing to bracket"
         )
-    critical, width, flips = _flip_search(support, xs, tol)
     # a tol below the float spacing would probe the critical point itself
     below = max(lo, min(critical - tol, math.nextafter(critical, -math.inf)))
     above = min(hi, max(critical + tol, math.nextafter(critical, math.inf)))
@@ -375,8 +369,7 @@ def lever_report(
         critical = None
         if (end - start) * direction > 0:  # else the lever is at or past its limit
             probe = _prober(base, param, risk, ties)
-            xs = even_grid(start, end, PRESCAN)
-            critical, _, _ = _flip_search(lambda v: probe(v)[1], xs, tol)
+            critical = _flip_search(lambda v: probe(v)[1], start, end, tol)[0]
         report.append(LeverFinding(lever, param, start, end, critical))
     return report
 
