@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 a scenario or argument the tool rejects (the
-library raises ``ValueError``), 3 valid inputs with no answer (the library
+library raises ``ValueError``, or ``OverflowError`` for a risk transform that
+overflows), 3 valid inputs with no answer (the library
 raises ``AnalysisError``, e.g. a threshold bracket whose ends share an
 outcome class), 4 a failed ``validate``: the solver and the oracle disagree,
 or the scenario's ``expected_outcome`` is not a modal class. Only
@@ -279,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
-    except (ValueError, FileNotFoundError) as exc:  # ScenarioError is a ValueError
+    except (ValueError, OverflowError, FileNotFoundError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

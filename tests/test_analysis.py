@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from test_model import params
+from wbgame import analysis
 from wbgame.analysis import (
     PRESCAN,
     AnalysisError,
@@ -158,6 +159,25 @@ class TestFindThreshold:
         for base in (baseline.parameters, replace(baseline.parameters, w=0.0)):
             with rejects_argument(match=r"grid bracket \[.*\] needs finite ends"):
                 find_threshold(base, param, lo, hi)
+
+    def test_an_invalid_end_is_named(self, baseline_noleak):
+        # the ends are probed before the grid's inner points, so the error
+        # names hi (x + y = 1.3), not the first invalid grid point
+        with rejects_argument(match=r"x \+ y = 1\.3 > 1"):
+            find_threshold(baseline_noleak.parameters, "x", 0.0, 1.0)
+
+    def test_each_point_is_probed_once(self, baseline_noleak, monkeypatch):
+        base, point, seen = baseline_noleak.parameters, analysis._point, []
+
+        def recording_point(b, param, value):
+            seen.append(value)
+            return point(b, param, value)
+
+        monkeypatch.setattr(analysis, "_point", recording_point)
+        find_threshold(base, "y", 0.0, 0.8)
+        # 64 scan points, 14 bisection steps, then critical -/+ tol solved once each
+        assert len(seen) == 80
+        assert len(set(seen)) == len(seen)
 
     def test_flip_just_below_hi_is_in_the_last_scan_segment(self):
         # hi is the first float past the 1/6 flip; lo + 63 * (hi - lo) / 63

@@ -28,6 +28,19 @@ BAD_ARGUMENTS = [
      "error: grid bracket [-inf, 10.0] needs finite ends and a finite width"),
     (["threshold", "--param", "a", "--lo=-1e308", "--hi", "1e308"],
      "error: grid bracket [-1e+308, 1e+308] needs finite ends and a finite width"),
+    # the bracket's ends are probed first, so the error names hi, not a grid point
+    (["threshold", "--param", "x", "--lo", "0", "--hi", "1"], "error: x + y = 1.3 > 1"),
+]
+# every command that solves the scenario; each must exit 2 where Tom's risk
+# transform overflows
+OVERFLOW_COMMANDS = [
+    ["solve"],
+    ["levers"],
+    ["validate"],
+    ["simulate", "--n", "10", "--seed", "1"],
+    ["export-tree", "--with-solution"],
+    ["sweep", "--param", "w", "--from", "0", "--to", "1", "--steps", "3"],
+    ["threshold", "--param", "w", "--lo", "0", "--hi", "1"],
 ]
 # (argv after --scenario baseline, stderr): valid arguments with no answer
 NO_ANSWERS = [
@@ -259,6 +272,17 @@ class TestThresholdValidation:
         code, out, err = run(capsys, *argv, "--scenario", scenario_path("baseline"))
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=[a[0] for a in OVERFLOW_COMMANDS])
+    def test_risk_transform_overflow_exits_2(self, capsys, tmp_path, argv):
+        # the scenario parses and validates; only Tom's transform of
+        # D - 3 = 997 at risk_tom = -1 overflows
+        text = Path(scenario_path("baseline")).read_text().replace("D = 0.5", "D = 1000")
+        path = tmp_path / "overflow.scn"
+        path.write_text(text + "risk_tom = -1\n")
+        code, out, err = run(capsys, *argv, "--scenario", str(path), "--no-meta")
+        assert (code, out) == (2, "")
+        assert err == "error: risk transform overflows for v=997.0, alpha=-1.0\n"
 
     @pytest.mark.parametrize("command", TOL_COMMANDS)
     def test_tol_below_float_spacing_ends(self, command):
