@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 a scenario or argument the tool rejects (the
-library raises ``ValueError``, or ``OverflowError`` for a risk transform that
-overflows), 3 valid inputs with no answer (the library
-raises ``AnalysisError``, e.g. a threshold bracket whose ends share an
-outcome class), 4 a failed ``validate``: the solver and the oracle disagree,
+library raises ``ValueError``, or ``OverflowError`` for a risk transform
+that overflows), 3 valid inputs with no answer (the library raises
+``AnalysisError``, e.g. a threshold bracket whose ends share an outcome
+class), 4 a failed ``validate``: the solver and the oracle disagree,
 or the scenario's ``expected_outcome`` is not a modal class. Only
 :func:`main` maps errors to exit codes.
 

@@ -276,7 +276,7 @@ class TestThresholdValidation:
     @pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=[a[0] for a in OVERFLOW_COMMANDS])
     def test_risk_transform_overflow_exits_2(self, capsys, tmp_path, argv):
         # the scenario parses and validates; only Tom's transform of
-        # D - 3 = 997 at risk_tom = -1 overflows
+        # D + H = 997 at risk_tom = -1 overflows
         text = Path(scenario_path("baseline")).read_text().replace("D = 0.5", "D = 1000")
         path = tmp_path / "overflow.scn"
         path.write_text(text + "risk_tom = -1\n")
