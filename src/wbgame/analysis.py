@@ -31,11 +31,13 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 from . import model
 from .model import GameParameters, build_game
 from .solver import (
     PAPER_TIES,
+    RISK_NAMES,
     RISK_NEUTRAL,
     PlanEvaluator,
     RiskProfile,
@@ -189,13 +191,25 @@ def sweep(
     risk: RiskProfile = RISK_NEUTRAL,
     ties: TiePolicy = PAPER_TIES,
 ) -> SweepTable:
-    """Solve once per grid point; invalid points become error rows.
+    """Solve once per grid point; invalid points, and points whose risk
+    transform overflows, become error rows.
 
-    The grid must be strictly increasing. Rows are computed one after
-    another in grid order: the work is pure Python and holds the interpreter
-    lock throughout, so threads would only add overhead.
+    ``param`` is one of the 19 game parameters or a risk coefficient
+    (:data:`wbgame.solver.RISK_NAMES`), which replaces that coefficient of
+    ``risk``. The grid must be strictly increasing. Rows are computed one
+    after another in grid order: the work is pure Python and holds the
+    interpreter lock throughout, so threads would only add overhead.
     """
-    _check_param(param)
+    if param in RISK_NAMES:
+        coefficient = param.removeprefix("risk_")
+
+        def solve_at(value: float) -> tuple[Node, SolveResult]:
+            tree = build_game(base)
+            return tree, solve(tree, replace(risk, **{coefficient: value}), ties)
+    else:
+        _check_param(param)
+        solve_at = partial(_solve_point, base, param, risk=risk, ties=ties)
+
     if len(grid) == 0:
         raise ValueError("empty grid")
     if any(not a < b for a, b in zip(grid, grid[1:])):  # NaN fails too
@@ -203,8 +217,8 @@ def sweep(
 
     def point(value: float) -> SweepRow:
         try:
-            tree, result = _solve_point(base, param, value, risk, ties)
-        except ValueError as exc:
+            tree, result = solve_at(value)
+        except (ValueError, OverflowError) as exc:
             return SweepRow(value, False, str(exc), None, None, None, None)
         return SweepRow(
             value,

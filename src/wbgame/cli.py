@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 a scenario or argument the tool rejects (the
 library raises ``ValueError``, or ``OverflowError`` for a risk transform
-that overflows), 3 valid inputs with no answer (the library raises
-``AnalysisError``, e.g. a threshold bracket whose ends share an outcome
-class), 4 a failed ``validate``: the solver and the oracle disagree,
-or the scenario's ``expected_outcome`` is not a modal class. Only
-:func:`main` maps errors to exit codes.
+that overflows; ``sweep`` makes such a point an error row instead), 3
+valid inputs with no answer (the library raises ``AnalysisError``, e.g. a
+threshold bracket whose ends share an outcome class), 4 a failed
+``validate``: the solver and the oracle disagree, or the scenario's
+``expected_outcome`` is not a modal class. Only :func:`main` maps errors
+to exit codes.
 
 Every output embeds the effective parameter set and tool version in a
 metadata header (a ``meta`` object in json, ``# key: value`` lines
@@ -229,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-solve along a parameter grid")
     common(p)
-    p.add_argument("--param", required=True, help="parameter name (w x y z a..g B..G H I)")
+    p.add_argument(
+        "--param", required=True,
+        help="parameter name (w x y z a..g B..G H I) or risk coefficient (risk_alice risk_tom)",
+    )
     p.add_argument("--from", dest="start", type=float, required=True, help="grid start")
     p.add_argument("--to", dest="stop", type=float, required=True, help="grid end")
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 2)")
@@ -237,7 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="bisect to an equilibrium flip point")
     common(p)
-    p.add_argument("--param", required=True)
+    p.add_argument(
+        "--param", required=True,
+        help="parameter name (w x y z a..g B..G H I); not a risk coefficient",
+    )
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)

@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .analysis import OutcomeClass
 from .model import GameParameters, Variant
-from .solver import RiskProfile, SolveResult, TiePolicy, TieRule
+from .solver import RISK_NAMES, RiskProfile, SolveResult, TiePolicy, TieRule
 from .tree import NEG_INF, Chance, Decision, Node, Player, iter_nodes, require_valid, terminals
 from . import model
 
 
 OPTION_KEYS = (
-    "name", "variant", "risk_alice", "risk_tom", "tie_alice", "tie_tom",
+    "name", "variant", *RISK_NAMES, "tie_alice", "tie_tom",
     "expected_outcome",
 )
 
@@ -117,9 +117,9 @@ def parse_scenario(text: str) -> Scenario:
                 f"unknown variant {raw!r} (options: {options})", line_no, column
             ) from None
 
-    risk_values = {}
-    for field in ("risk_alice", "risk_tom"):
-        risk_values[field] = 0.0
+    risk_values = []
+    for field in RISK_NAMES:
+        value = 0.0
         if field in seen:
             raw, line_no, column = seen[field]
             try:
@@ -128,7 +128,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"cannot parse number {raw!r} for {field}", line_no, column) from None
             if not math.isfinite(value):
                 raise ScenarioError(f"{field} must be finite", line_no, column)
-            risk_values[field] = value
+        risk_values.append(value)
 
     ties = {"tie_alice": TieRule.REFRAIN_ON_TIE, "tie_tom": TieRule.ACT_ON_TIE}
     for field in ("tie_alice", "tie_tom"):
@@ -159,7 +159,7 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         name=name,
         parameters=parameters,
-        risk=RiskProfile(alice=risk_values["risk_alice"], tom=risk_values["risk_tom"]),
+        risk=RiskProfile(*risk_values),
         ties=TiePolicy(alice=ties["tie_alice"], tom=ties["tie_tom"]),
         expected_outcome=expected,
         warnings=tuple(model.parameter_warnings(parameters)),
@@ -186,10 +186,9 @@ def render_scenario(s: Scenario) -> str:
         lines.append(f"{key} = {format_number(getattr(s.parameters, key))}")
     if s.parameters.variant is not Variant.STANDARD:
         lines.append(f"variant = {s.parameters.variant.value}")
-    if s.risk.alice != 0.0:
-        lines.append(f"risk_alice = {format_number(s.risk.alice)}")
-    if s.risk.tom != 0.0:
-        lines.append(f"risk_tom = {format_number(s.risk.tom)}")
+    for key, value in zip(RISK_NAMES, astuple(s.risk)):
+        if value != 0.0:
+            lines.append(f"{key} = {format_number(value)}")
     if s.ties.alice is not TieRule.REFRAIN_ON_TIE:
         lines.append(f"tie_alice = {s.ties.alice.value}")
     if s.ties.tom is not TieRule.ACT_ON_TIE:

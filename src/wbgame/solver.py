@@ -67,6 +67,10 @@ class RiskProfile:
         return self.alice if player is Player.ALICE else self.tom
 
 
+#: scenario keys of :class:`RiskProfile`'s coefficients: ``"risk_"`` and
+#: each field name, in field order; ``analysis.sweep`` takes them too
+RISK_NAMES = ("risk_alice", "risk_tom")
+
 RISK_NEUTRAL = RiskProfile()
 PAPER_TIES = TiePolicy()
 

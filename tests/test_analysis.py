@@ -1,9 +1,11 @@
 import math
+import random
 from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
+from conftest import sample_parameters
 from test_model import params
 from wbgame import analysis
 from wbgame.analysis import (
@@ -22,7 +24,7 @@ from wbgame.analysis import (
     sweep,
 )
 from wbgame.model import build_game
-from wbgame.solver import solve
+from wbgame.solver import RISK_NAMES, RiskProfile, solve
 from wbgame.tree import Player, chance, decision, terminal
 
 
@@ -120,6 +122,45 @@ class TestSweep:
             result = solve(tree)
             assert row.root_alice == result.root_value[Player.ALICE]
             assert row.root_tom == result.root_value[Player.TOM]
+
+    def test_point_whose_risk_transform_overflows_is_an_error_row(self, baseline):
+        # Tom's transform of D + H = 997 at risk_tom = -1 overflows; the
+        # rows at D = 0 and D = 500 stay
+        table = sweep(baseline.parameters, "D", [0.0, 500.0, 1000.0], RiskProfile(tom=-1.0))
+        assert [row.valid for row in table.rows] == [True, True, False]
+        assert table.rows[2].error == "risk transform overflows for v=997.0, alpha=-1.0"
+
+    @pytest.mark.parametrize("param", RISK_NAMES)
+    def test_risk_rows_equal_direct_solves(self, param):
+        # -1000 overflows as soon as one of the player's payoffs exceeds
+        # about 0.71; no coefficient from -1 up can overflow on these draws
+        grid = [-1000.0, -1.0, -0.25, 0.0, 0.5, 3.0]
+        rng = random.Random(2021)
+        overflows = 0
+        for _ in range(25):
+            p = sample_parameters(rng)
+            risk = RiskProfile(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            table = sweep(p, param, grid, risk)
+            assert table.param == param
+            for row in table.rows:
+                if param == "risk_alice":
+                    direct = RiskProfile(row.value, risk.tom)
+                else:
+                    direct = RiskProfile(risk.alice, row.value)
+                tree = build_game(p)
+                try:
+                    result = solve(tree, direct)
+                except OverflowError as exc:
+                    assert row.value == -1000.0
+                    assert (row.valid, row.error) == (False, str(exc))
+                    overflows += 1
+                    continue
+                assert row.valid
+                got = (row.alice_leaks, row.root_alice, row.root_tom, row.class_probabilities)
+                want = (alice_leaks(result), result.root_value[Player.ALICE],
+                        result.root_value[Player.TOM], class_distribution(tree, result))
+                assert repr(got) == repr(want)
+        assert overflows > 0
 
 
 class TestFindThreshold:

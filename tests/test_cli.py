@@ -30,16 +30,18 @@ BAD_ARGUMENTS = [
      "error: grid bracket [-1e+308, 1e+308] needs finite ends and a finite width"),
     # the bracket's ends are probed first, so the error names hi, not a grid point
     (["threshold", "--param", "x", "--lo", "0", "--hi", "1"], "error: x + y = 1.3 > 1"),
+    # a risk coefficient is sweepable but not bracketable
+    (["threshold", "--param", "risk_alice", "--lo", "-1", "--hi", "1"],
+     "error: unknown parameter 'risk_alice'"),
 ]
-# every command that solves the scenario; each must exit 2 where Tom's risk
-# transform overflows
+# every command that solves the scenario, but sweep; each must exit 2 where
+# Tom's risk transform overflows (sweep makes the point an error row)
 OVERFLOW_COMMANDS = [
     ["solve"],
     ["levers"],
     ["validate"],
     ["simulate", "--n", "10", "--seed", "1"],
     ["export-tree", "--with-solution"],
-    ["sweep", "--param", "w", "--from", "0", "--to", "1", "--steps", "3"],
     ["threshold", "--param", "w", "--lo", "0", "--hi", "1"],
 ]
 # (argv after --scenario baseline, stderr): valid arguments with no answer
@@ -47,6 +49,15 @@ NO_ANSWERS = [
     (["threshold", "--param", "H", "--lo", "-4", "--hi", "-3.5"], "match at both ends"),
     (["levers"], "already solves to a leak"),
 ]
+
+
+def overflow_scenario(tmp_path) -> str:
+    """baseline.scn with D = 1000 and risk_tom = -1: it parses and validates;
+    only Tom's transform of D + H = 997 overflows."""
+    text = Path(scenario_path("baseline")).read_text().replace("D = 0.5", "D = 1000")
+    path = tmp_path / "overflow.scn"
+    path.write_text(text + "risk_tom = -1\n")
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -129,6 +140,18 @@ class TestSweep:
         )
         assert code == 2
         assert "unknown parameter" in err
+
+    def test_risk_transform_overflow_is_an_error_row(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "sweep", "--scenario", overflow_scenario(tmp_path),
+            "--param", "D", "--from", "0", "--to", "1000", "--steps", "3", "--no-meta",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["0.0", "true"], ["500.0", "true"], ["1000.0", "false"],
+        ]
+        assert rows[2].split(",")[2] == "risk transform overflows for v=997.0; alpha=-1.0"
 
 
 class TestThreshold:
@@ -275,12 +298,7 @@ class TestThresholdValidation:
 
     @pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=[a[0] for a in OVERFLOW_COMMANDS])
     def test_risk_transform_overflow_exits_2(self, capsys, tmp_path, argv):
-        # the scenario parses and validates; only Tom's transform of
-        # D + H = 997 at risk_tom = -1 overflows
-        text = Path(scenario_path("baseline")).read_text().replace("D = 0.5", "D = 1000")
-        path = tmp_path / "overflow.scn"
-        path.write_text(text + "risk_tom = -1\n")
-        code, out, err = run(capsys, *argv, "--scenario", str(path), "--no-meta")
+        code, out, err = run(capsys, *argv, "--scenario", overflow_scenario(tmp_path), "--no-meta")
         assert (code, out) == (2, "")
         assert err == "error: risk transform overflows for v=997.0, alpha=-1.0\n"
 

@@ -1,7 +1,8 @@
 """Golden outputs: CLI text and solver results pinned byte for byte.
 
 ``golden/*.txt`` hold the ``--no-meta`` stdout of criterion 10's commands
-plus two sweeps that reach invalid and edge rows. ``golden/solve_digests.json``
+plus two sweeps that reach invalid and edge rows and one sweep of a risk
+coefficient. ``golden/solve_digests.json``
 holds, per seeded criterion-1 game, a truncated SHA-256 of each
 ``SolveResult`` field (profile, node_values, root_value,
 outcome_distribution). Floats enter the
@@ -77,6 +78,10 @@ GOLDEN_COMMANDS["sweep-baseline-x"] = [
 GOLDEN_COMMANDS["sweep-snowden-I"] = [
     "sweep", "--scenario", scenario_path("snowden"), "--param", "I",
     "--from", "-5", "--to", "0", "--steps", "41",
+]
+GOLDEN_COMMANDS["sweep-baseline-risk_tom"] = [
+    "sweep", "--scenario", scenario_path("baseline"), "--param", "risk_tom",
+    "--from", "-1", "--to", "1", "--steps", "21",
 ]
 
 #: risk modes pinned in the digest file
