@@ -8,7 +8,7 @@ import pytest
 
 from conftest import scenario_path
 from test_scenario import MINIMAL
-from wbgame import cli
+from wbgame import __version__, cli
 from wbgame.cli import main
 from wbgame.model import build_game, prune_zero
 from wbgame.scenario import export_dot, load_scenario
@@ -429,3 +429,57 @@ def test_levers_no_meta_byte_identical(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1.encode() == out2.encode()
+
+
+NOLEAK_PARAMETERS = (
+    "w=0.75 x=0.2 y=0.3 z=0.85 a=-1.0 b=-2.0 c=-8.0 d=-1.0 e=5.0 f=4.0 g=-4.0 "
+    "B=-8.0 C=2.0 D=0.4 E=-7.0 F=-5.0 G=-3.0 H=-0.5 I=-1.7 variant=standard"
+)
+# (argv after the command's own name, metadata lines after the shared ones)
+HEADER_COMMANDS = [
+    ("solve", [], []),
+    ("sweep", ["--param", "w", "--from", "0", "--to", "1", "--steps", "2"], ["param: w"]),
+    ("threshold", ["--param", "y", "--lo", "0", "--hi", "0.8"], []),
+    ("levers", [], []),
+    ("simulate", ["--n", "10", "--seed", "3"],
+     ["n: 10", "seed: 3", "generator: random.Random (Mersenne Twister)"]),
+    ("validate", [], []),
+    ("export-tree", [], []),
+]
+
+
+def header_lines(command, scenario_label, parameters, risk, ties, extra):
+    return [
+        f"tool: wbgame {__version__}", f"command: {command}", f"scenario: {scenario_label}",
+        f"parameters: {parameters}", f"risk: {risk}", f"ties: {ties}", *extra,
+    ]
+
+
+@pytest.mark.parametrize("command,argv,extra", HEADER_COMMANDS, ids=[c[0] for c in HEADER_COMMANDS])
+def test_metadata_header_names_the_run(capsys, command, argv, extra):
+    code, out, err = run(capsys, command, "--scenario", scenario_path("baseline_noleak"), *argv)
+    assert (code, err) == (0, "")
+    prefix = "// " if command == "export-tree" else "# "
+    header = [l[len(prefix):] for l in out.splitlines() if l.startswith(prefix)]
+    assert header[2].startswith("generated: ")
+    del header[2]
+    assert header == header_lines(
+        command, "baseline-noleak", NOLEAK_PARAMETERS,
+        "alice=0.0 tom=0.0", "alice=refrain tom=act", extra,
+    )
+
+
+def test_json_meta_names_an_unnamed_scenario_by_its_path(capsys, tmp_path):
+    path = tmp_path / "unnamed.scn"
+    path.write_text(MINIMAL + "risk_alice = 0.25\ntie_alice = act\ntie_tom = refrain\n")
+    code, out, err = run(capsys, "solve", "--scenario", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    meta = json.loads(out)["meta"]
+    assert meta.pop("generated")
+    parameters = (
+        "w=0.6 x=0.2 y=0.3 z=0.5 a=-1.0 b=-2.0 c=-8.0 d=-1.0 e=5.0 f=4.0 g=-4.0 "
+        "B=-5.0 C=2.0 D=0.5 E=-5.0 F=-6.0 G=-3.0 H=-3.0 I=-2.5 variant=standard"
+    )
+    assert [f"{k}: {v}" for k, v in meta.items()] == header_lines(
+        "solve", str(path), parameters, "alice=0.25 tom=0.0", "alice=act tom=refrain", [],
+    )
