@@ -111,9 +111,9 @@ def alice_leaks(result: SolveResult) -> bool:
     return result.profile.get(model.ROOT_NODE_ID) == "leak"
 
 
-def _check_param(param: str) -> None:
-    if param not in model.PARAMETER_NAMES:
-        raise ValueError(f"unknown parameter {param!r}; expected one of {model.PARAMETER_NAMES}")
+def _check_param(param: str, accepted: tuple[str, ...]) -> None:
+    if param not in accepted:
+        raise ValueError(f"unknown parameter {param!r}; expected one of {accepted}")
 
 
 def _check_tol(tol: float) -> None:
@@ -136,7 +136,6 @@ def even_grid(lo: float, hi: float, points: int) -> list[float]:
 
 
 def _point(base: GameParameters, param: str, value: float) -> GameParameters:
-    _check_param(param)
     p = replace(base, **{param: value})
     problems = model.validate_parameters(p)
     if problems:
@@ -162,7 +161,7 @@ def _probe(base: GameParameters, param: str, value: float,
 def _prober(base: GameParameters, param: str, risk: RiskProfile, ties: TiePolicy):
     """``value -> _probe(base, param, value, risk, ties)``, the plan's own
     answer, from one incremental evaluator that re-evaluates only the slots ``param`` reaches."""
-    _check_param(param)
+    _check_param(param, model.PARAMETER_NAMES)
     evaluate = PlanEvaluator(model.GAME_PLAN, risk, ties, model.MOVED_VALUES[param])
     return lambda value: evaluate(model.plan_values(_point(base, param, value)))
 
@@ -200,6 +199,7 @@ def sweep(
     after another in grid order: the work is pure Python and holds the
     interpreter lock throughout, so threads would only add overhead.
     """
+    _check_param(param, model.PARAMETER_NAMES + RISK_NAMES)
     if param in RISK_NAMES:
         coefficient = param.removeprefix("risk_")
 
@@ -207,7 +207,6 @@ def sweep(
             tree = build_game(base)
             return tree, solve(tree, replace(risk, **{coefficient: value}), ties)
     else:
-        _check_param(param)
         solve_at = partial(_solve_point, base, param, risk=risk, ties=ties)
 
     if len(grid) == 0:
@@ -296,7 +295,9 @@ def grid_scan_flip(
     ties: TiePolicy = PAPER_TIES,
 ) -> list[tuple[float, float]]:
     """Consecutive grid segments whose endpoints have different outcome support."""
-    _, segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], even_grid(lo, hi, points))
+    grid = even_grid(lo, hi, points)
+    _check_param(param, model.PARAMETER_NAMES)
+    _, segments = _scan(lambda v: _probe(base, param, v, risk, ties)[0], grid)
     return [(a, b) for a, b, _ in segments]
 
 

@@ -6,8 +6,10 @@ that overflows; ``sweep`` makes such a point an error row instead), 3
 valid inputs with no answer (the library raises ``AnalysisError``, e.g. a
 threshold bracket whose ends share an outcome class), 4 a failed
 ``validate``: the solver and the oracle disagree, or the scenario's
-``expected_outcome`` is not a modal class. Only :func:`main` maps errors
-to exit codes.
+``expected_outcome`` is not a modal class. An unreadable ``--scenario`` or
+unwritable ``--out`` exits 2. Only :func:`main` loads the scenario, writes
+the output and maps errors to exit codes 2, 3 and 4; each ``cmd_*`` returns
+its text.
 
 Every output embeds the effective parameter set and tool version in a
 metadata header (a ``meta`` object in json, ``# key: value`` lines
@@ -32,12 +34,16 @@ from .scenario import Scenario, format_number
 OK, USAGE_ERROR, ANALYSIS_ERROR, DISAGREEMENT = 0, 2, 3, 4
 
 
-def _meta(args, scn: Scenario, command: str, extra: dict | None = None) -> dict | None:
+class ValidationFailure(Exception):
+    """A failed ``validate``; the message is its stderr report."""
+
+
+def _meta(args, scn: Scenario, **extra) -> dict | None:
     if args.no_meta:
         return None
     meta = {
         "tool": f"wbgame {__version__}",
-        "command": command,
+        "command": args.command,
         "generated": datetime.now(timezone.utc).isoformat(),
         "scenario": scn.name or args.scenario,
     }
@@ -46,40 +52,20 @@ def _meta(args, scn: Scenario, command: str, extra: dict | None = None) -> dict 
     meta["parameters"] = " ".join(f"{k}={v}" for k, v in params.items())
     meta["risk"] = f"alice={format_number(scn.risk.alice)} tom={format_number(scn.risk.tom)}"
     meta["ties"] = f"alice={scn.ties.alice.value} tom={scn.ties.tom.value}"
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     return meta
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load(args) -> Scenario:
-    scn = scenario.load_scenario(args.scenario)
-    for warning in scn.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return scn
-
-
-def cmd_solve(args) -> int:
-    scn = _load(args)
+def cmd_solve(args, scn: Scenario) -> str:
     tree = build_game(scn.parameters)
     result = solve(tree, scn.risk, scn.ties)
-    text = scenario.render_result(result, tree, args.format, _meta(args, scn, "solve"))
-    _emit(text, args.out)
-    return OK
+    return scenario.render_result(result, tree, args.format, _meta(args, scn))
 
 
-def cmd_sweep(args) -> int:
-    scn = _load(args)
+def cmd_sweep(args, scn: Scenario) -> str:
     grid = analysis.even_grid(args.start, args.stop, args.steps)
     table = analysis.sweep(scn.parameters, args.param, grid, scn.risk, scn.ties)
-    lines = [scenario.meta_header(_meta(args, scn, "sweep", {"param": args.param}))]
+    lines = [scenario.meta_header(_meta(args, scn, param=args.param))]
     classes = [c.value for c in OutcomeClass]
     lines.append(
         f"{args.param},valid,error,alice_leaks,root_alice,root_tom,"
@@ -96,47 +82,38 @@ def cmd_sweep(args) -> int:
             f"{row.value!r},true,,{str(row.alice_leaks).lower()},"
             f"{format_number(row.root_alice)},{format_number(row.root_tom)},{probs}\n"
         )
-    _emit("".join(lines), args.out)
-    return OK
+    return "".join(lines)
 
 
-def cmd_threshold(args) -> int:
-    scn = _load(args)
+def cmd_threshold(args, scn: Scenario) -> str:
     report = analysis.find_threshold(
         scn.parameters, args.param, args.lo, args.hi, args.tol, scn.risk, scn.ties
     )
-    lines = [scenario.meta_header(_meta(args, scn, "threshold"))]
+    lines = [scenario.meta_header(_meta(args, scn))]
     lines.append(f"param: {report.param}\n")
     lines.append(f"bracket: [{report.lo!r}, {report.hi!r}]\n")
     lines.append(f"critical: {report.critical!r} +/- {report.tol!r}\n")
     lines.append(f"below: {', '.join(sorted(c.value for c in report.below_classes))}\n")
     lines.append(f"above: {', '.join(sorted(c.value for c in report.above_classes))}\n")
     lines.append(f"single_flip: {str(report.monotone).lower()}\n")
-    _emit("".join(lines), args.out)
-    return OK
+    return "".join(lines)
 
 
-def cmd_levers(args) -> int:
-    scn = _load(args)
+def cmd_levers(args, scn: Scenario) -> str:
     findings = analysis.lever_report(scn.parameters, scn.risk, scn.ties, args.tol)
-    lines = [scenario.meta_header(_meta(args, scn, "levers"))]
+    lines = [scenario.meta_header(_meta(args, scn))]
     lines.append("lever,param,search_from,search_to,critical\n")
     for f in findings:
         crit = repr(f.critical) if f.critical is not None else "no flip in range"
         lines.append(f"{f.lever},{f.param},{f.start!r},{f.end!r},{crit}\n")
-    _emit("".join(lines), args.out)
-    return OK
+    return "".join(lines)
 
 
-def cmd_simulate(args) -> int:
-    scn = _load(args)
+def cmd_simulate(args, scn: Scenario) -> str:
     tree = build_game(scn.parameters)
     result = solve(tree, scn.risk, scn.ties)
     sim = analysis.simulate(tree, result.profile, args.n, args.seed)
-    meta = _meta(
-        args, scn, "simulate",
-        {"n": args.n, "seed": args.seed, "generator": sim.generator},
-    )
+    meta = _meta(args, scn, n=args.n, seed=args.seed, generator=sim.generator)
     lines = [scenario.meta_header(meta)]
     lines.append(f"playouts: {sim.n}\n")
     lines.append("class,frequency,stderr,solved_probability\n")
@@ -152,12 +129,10 @@ def cmd_simulate(args) -> int:
             f"{player.value},{sim.mean_payoffs[player]!r},"
             f"{sim.payoff_standard_errors[player]!r},{format_number(result.root_value[player])}\n"
         )
-    _emit("".join(lines), args.out)
-    return OK
+    return "".join(lines)
 
 
-def cmd_validate(args) -> int:
-    scn = _load(args)
+def cmd_validate(args, scn: Scenario) -> str:
     tree = build_game(scn.parameters)
     result = solve(tree, scn.risk, scn.ties)
     certified = oracle.brute_force_spe(tree, scn.risk, scn.ties)
@@ -168,22 +143,24 @@ def cmd_validate(args) -> int:
         for p in (Player.ALICE, Player.TOM)
     )
     if not (profile_ok and value_ok):
-        print("solver/oracle disagreement:", file=sys.stderr)
-        print(f"  solver profile: {result.profile}", file=sys.stderr)
-        print(f"  oracle profile: {certified.canonical}", file=sys.stderr)
-        print(f"  solver value:   {result.root_value}", file=sys.stderr)
-        print(f"  oracle value:   {certified.canonical_root_value}", file=sys.stderr)
-        return DISAGREEMENT
+        raise ValidationFailure(
+            "solver/oracle disagreement:\n"
+            f"  solver profile: {result.profile}\n"
+            f"  oracle profile: {certified.canonical}\n"
+            f"  solver value:   {result.root_value}\n"
+            f"  oracle value:   {certified.canonical_root_value}"
+        )
     expected = scn.expected_outcome
     if expected is not None:
         dist = analysis.class_distribution(tree, result)
         modal = max(dist, key=dist.get)
         if dist[expected] < dist[modal]:  # a tie for the top counts as a match
-            print("expected outcome is not the modal class:", file=sys.stderr)
-            print(f"  expected: {expected.value} p={format_number(dist[expected])}", file=sys.stderr)
-            print(f"  modal:    {modal.value} p={format_number(dist[modal])}", file=sys.stderr)
-            return DISAGREEMENT
-    lines = [scenario.meta_header(_meta(args, scn, "validate"))]
+            raise ValidationFailure(
+                "expected outcome is not the modal class:\n"
+                f"  expected: {expected.value} p={format_number(dist[expected])}\n"
+                f"  modal:    {modal.value} p={format_number(dist[modal])}"
+            )
+    lines = [scenario.meta_header(_meta(args, scn))]
     lines.append(
         f"oracle agrees: canonical profile matches across "
         f"{len(certified.spe_profiles)} subgame-perfect profile(s)\n"
@@ -192,19 +169,15 @@ def cmd_validate(args) -> int:
         f"root value: alice={format_number(result.root_value[Player.ALICE])} "
         f"tom={format_number(result.root_value[Player.TOM])}\n"
     )
-    _emit("".join(lines), args.out)
-    return OK
+    return "".join(lines)
 
 
-def cmd_export_tree(args) -> int:
-    scn = _load(args)
+def cmd_export_tree(args, scn: Scenario) -> str:
     tree = build_game(scn.parameters)
     if args.pruned:
         tree = prune_zero(tree)
     result = solve(tree, scn.risk, scn.ties) if args.with_solution else None
-    header = scenario.meta_header(_meta(args, scn, "export-tree"), "//")
-    _emit(header + scenario.export_dot(tree, result), args.out)
-    return OK
+    return scenario.meta_header(_meta(args, scn), "//") + scenario.export_dot(tree, result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,6 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -283,13 +261,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad options, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        scn = scenario.load_scenario(args.scenario)
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
+        return _fail(exc, USAGE_ERROR)
+    for warning in scn.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    try:
+        text = args.func(args, scn)
+    except ValidationFailure as exc:
+        print(exc, file=sys.stderr)
+        return DISAGREEMENT
     except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ANALYSIS_ERROR
-    except (ValueError, OverflowError, FileNotFoundError) as exc:  # ScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(exc, ANALYSIS_ERROR)
+    except (ValueError, OverflowError) as exc:
+        return _fail(exc, USAGE_ERROR)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(exc, USAGE_ERROR)
+    return OK
 
 
 if __name__ == "__main__":

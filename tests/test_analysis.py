@@ -50,6 +50,13 @@ def test_classify_terminal():
         classify_terminal("mystery")
 
 
+def test_class_distribution_rejects_a_label_that_is_not_a_class():
+    tree = chance("c", [("h", 0.5, terminal("no-leak", 0.0, 0.0)),
+                        ("t", 0.5, terminal("mystery", 0.0, 0.0))])
+    with pytest.raises(ValueError, match="terminal label 'mystery' is not an outcome class"):
+        class_distribution(tree, solve(tree))
+
+
 def test_class_distribution_sums_to_one(baseline):
     tree = build_game(baseline.parameters)
     result = solve(tree, baseline.risk, baseline.ties)
@@ -95,8 +102,13 @@ class TestSweep:
             sweep(params(), "w", [0.5, 0.5])
 
     def test_unknown_parameter_rejected(self):
-        with rejects_argument():
+        # the message names what sweep accepts: the risk coefficients too
+        with rejects_argument(match=r"unknown parameter 'q'; .*'I', 'risk_alice', 'risk_tom'\)$"):
             sweep(params(), "q", [0.0, 1.0])
+
+    def test_empty_grid_rejected(self):
+        with rejects_argument(match="empty grid"):
+            sweep(params(), "w", [])
 
     @pytest.mark.parametrize("lo, hi", [
         (-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0),
@@ -259,6 +271,16 @@ class TestFindThreshold:
         refined = find_threshold(baseline_noleak.parameters, "y", *segments[0], tol=tol)
         assert abs(direct.critical - refined.critical) <= 2 * tol
 
+    @pytest.mark.parametrize("param", ["q", "risk_alice"])
+    def test_grid_scan_rejects_an_unknown_parameter(self, param):
+        # a risk coefficient is not a game parameter: the message lists the 19 only
+        with rejects_argument(match=rf"unknown parameter '{param}'; .*'H', 'I'\)$"):
+            grid_scan_flip(params(), param, 0.0, 1.0, 5)
+
+    def test_grid_scan_checks_its_grid_before_the_parameter(self):
+        with rejects_argument(match="need at least 2 grid points, got 1"):
+            grid_scan_flip(params(), "q", 0.0, 1.0, 1)
+
 
 class TestLeverReport:
     def test_three_rows_on_shipped_no_leak_base(self, baseline_noleak):
@@ -385,6 +407,13 @@ class TestSimulate:
             return sum(abs(sim.class_frequencies[c] - solved[c]) for c in OutcomeClass)
 
         assert total_error(100_000) < total_error(1_000)
+
+    def test_one_playout_has_no_payoff_standard_error(self):
+        tree = chance("flip", [("h", 0.5, terminal("no-leak", 1.0, 0.0)),
+                               ("t", 0.5, terminal("no-trust", 0.0, 0.0))])
+        sim = simulate(tree, {}, 1, seed=7)
+        assert sum(sim.terminal_counts.values()) == 1
+        assert all(math.isnan(se) for se in sim.payoff_standard_errors.values())
 
     def test_n_must_be_positive(self, baseline):
         tree = build_game(baseline.parameters)

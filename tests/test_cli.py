@@ -10,9 +10,9 @@ from conftest import scenario_path
 from test_scenario import MINIMAL
 from wbgame import __version__, cli
 from wbgame.cli import main
-from wbgame.model import build_game, prune_zero
+from wbgame.model import PARAMETER_NAMES, build_game, prune_zero
 from wbgame.scenario import export_dot, load_scenario
-from wbgame.solver import solve
+from wbgame.solver import RISK_NAMES, solve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TOL_COMMANDS = [["threshold", "--param", "w", "--lo", "0", "--hi", "1"], ["levers"]]
@@ -33,6 +33,9 @@ BAD_ARGUMENTS = [
     # a risk coefficient is sweepable but not bracketable
     (["threshold", "--param", "risk_alice", "--lo", "-1", "--hi", "1"],
      "error: unknown parameter 'risk_alice'"),
+    # the message names what the command accepts, the risk coefficients too
+    (["sweep", "--param", "qq", "--from", "0", "--to", "1", "--steps", "3"],
+     f"error: unknown parameter 'qq'; expected one of {PARAMETER_NAMES + RISK_NAMES}\n"),
 ]
 # every command that solves the scenario, but sweep; each must exit 2 where
 # Tom's risk transform overflows (sweep makes the point an error row)
@@ -104,6 +107,19 @@ class TestSolve:
         assert code == 2
         assert "missing required keys" in err or "outside" in err
 
+    def test_unreadable_scenario_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--scenario", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno") and err.count("\n") == 1
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "levers", "--scenario", scenario_path("baseline_noleak"),
+            "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno") and err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.csv"
         code, out, _ = run(
@@ -163,6 +179,15 @@ class TestThreshold:
         assert code == 0
         critical = float(next(l for l in out.splitlines() if l.startswith("critical")).split()[1])
         assert critical == pytest.approx(1 / 2.85, abs=1e-5)
+
+    def test_unknown_parameter_message_lists_only_game_parameters(self, capsys):
+        code, _, err = run(
+            capsys, "threshold", "--scenario", scenario_path("baseline_noleak"),
+            "--param", "risk_alice", "--lo", "-1", "--hi", "1",
+        )
+        assert (code, err) == (
+            2, f"error: unknown parameter 'risk_alice'; expected one of {PARAMETER_NAMES}\n",
+        )
 
     def test_same_class_end_points_exit_3(self, capsys):
         code, _, err = run(
@@ -378,7 +403,7 @@ class TestHarness:
 
     def test_warnings_on_stderr(self, capsys, tmp_path):
         custom = tmp_path / "warn.scn"
-        base = open(scenario_path("baseline")).read().replace("H = -3", "H = 1")
+        base = Path(scenario_path("baseline")).read_text().replace("H = -3", "H = 1")
         custom.write_text(base)
         code, _, err = run(capsys, "solve", "--scenario", str(custom), "--no-meta")
         assert code == 0

@@ -105,7 +105,7 @@ def test_plan_matches_solve_where_a_reach_product_underflows():
     (params(), "x", 0.9, RISK_NEUTRAL),  # x + y > 1
     (params(), "B", math.inf, RISK_NEUTRAL),
     (params(), "e", -math.inf, RISK_NEUTRAL),
-    (params(), "nope", 1.0, RISK_NEUTRAL),
+    (alice_to_harry(params()), "w", 0.5, RISK_NEUTRAL),  # the variant needs w = 1
     (params(H=1e308), "C", 1e308, RISK_NEUTRAL),  # C + H overflows in the tree
     (params(), "D", 900.0, RiskProfile(0.0, -1.0)),  # Tom's risk transform overflows
     (params(), "w", 0.5, RiskProfile(math.nan, 0.0)),

@@ -119,6 +119,17 @@ class TestParse:
         with pytest.raises(ScenarioError, match="line 1"):
             parse_scenario(MINIMAL.replace("w = 0.6", "w = zero"))
 
+    @pytest.mark.parametrize("line, column, message", [
+        ("risk_alice = abc", 14, "cannot parse number 'abc' for risk_alice"),
+        ("expected_outcome = mystery", 20, "unknown outcome class 'mystery' (options: no-leak,"),
+        ("name =", 7, "missing value for 'name'"),
+    ])
+    def test_bad_option_reported_with_position(self, line, column, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(MINIMAL + line + "\n")
+        assert (info.value.line, info.value.column) == (20, column)
+        assert str(info.value).startswith(f"line 20, column {column}: {message}")
+
     def test_option_parsing(self):
         text = MINIMAL + (
             "name = demo\nrisk_alice = 0.5\nrisk_tom = -0.25\n"
@@ -156,6 +167,19 @@ class TestRoundTrip:
     def test_minimal_round_trip(self):
         s = parse_scenario(MINIMAL)
         assert parse_scenario(render_scenario(s)) == s
+
+    def test_every_option_round_trips(self):
+        text = MINIMAL.replace("w = 0.6", "w = 1").replace("x = 0.2", "x = 0")
+        text = text.replace("y = 0.3", "y = 1").replace("B = -5", "B = -inf")
+        s = parse_scenario(
+            text + "variant = alice-to-harry\ntie_alice = act\ntie_tom = refrain\n"
+        )
+        assert s.parameters.variant is Variant.ALICE_TO_HARRY
+        assert s.ties == TiePolicy(TieRule.ACT_ON_TIE, TieRule.REFRAIN_ON_TIE)
+        rendered = render_scenario(s)
+        for line in ("variant = alice-to-harry", "tie_alice = act", "tie_tom = refrain"):
+            assert line in rendered.splitlines()
+        assert parse_scenario(rendered) == s
 
     def test_shipped_files_round_trip(self):
         for name in ("baseline", "baseline_noleak", "snowden", "weinstein_pre", "weinstein_post"):

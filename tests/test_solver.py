@@ -138,6 +138,11 @@ class TestRiskTransform:
         with pytest.raises(OverflowError):
             risk_transform(1e6, -1.0)
 
+    def test_result_past_the_float_range_is_an_error(self):
+        # expm1(700) is finite, but dividing it by 1e-5 is not
+        with pytest.raises(OverflowError, match="risk transform out of range for v=70000000.0"):
+            risk_transform(7e7, -1e-5)
+
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(ValueError):
             risk_transform(1.0, float("inf"))
