@@ -30,11 +30,9 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from enum import Enum
-from functools import partial
 
 from . import model
-from .model import GameParameters, build_game
+from .model import GameParameters, OutcomeClass, build_game
 from .solver import (
     PAPER_TIES,
     RISK_NAMES,
@@ -63,17 +61,6 @@ class AnalysisError(ValueError):
     an outcome support, or a lever base that already leaks. A bad argument
     (unknown parameter, bad ``tol``, bracket or grid) raises a plain
     :class:`ValueError` instead."""
-
-
-class OutcomeClass(Enum):
-    NO_LEAK = model.NO_LEAK
-    NO_TRUST = model.NO_TRUST
-    BLOCKED = model.BLOCKED
-    CENSORED_JAILED = model.CENSORED_JAILED
-    CENSORED_ANONYMOUS = model.CENSORED_ANONYMOUS
-    UNCENSORED_ANONYMOUS = model.UNCENSORED_ANONYMOUS
-    UNCENSORED_IMPUNITY = model.UNCENSORED_IMPUNITY
-    UNCENSORED_JAILED = model.UNCENSORED_JAILED
 
 
 # label -> position in OutcomeClass; plain-string keys keep the per-solve
@@ -200,15 +187,6 @@ def sweep(
     interpreter lock throughout, so threads would only add overhead.
     """
     _check_param(param, model.PARAMETER_NAMES + RISK_NAMES)
-    if param in RISK_NAMES:
-        coefficient = param.removeprefix("risk_")
-
-        def solve_at(value: float) -> tuple[Node, SolveResult]:
-            tree = build_game(base)
-            return tree, solve(tree, replace(risk, **{coefficient: value}), ties)
-    else:
-        solve_at = partial(_solve_point, base, param, risk=risk, ties=ties)
-
     if len(grid) == 0:
         raise ValueError("empty grid")
     if any(not a < b for a, b in zip(grid, grid[1:])):  # NaN fails too
@@ -216,7 +194,11 @@ def sweep(
 
     def point(value: float) -> SweepRow:
         try:
-            tree, result = solve_at(value)
+            if param in RISK_NAMES:
+                tree = build_game(base)
+                result = solve(tree, replace(risk, **{param.removeprefix("risk_"): value}), ties)
+            else:
+                tree, result = _solve_point(base, param, value, risk, ties)
         except (ValueError, OverflowError) as exc:
             return SweepRow(value, False, str(exc), None, None, None, None)
         return SweepRow(
@@ -466,8 +448,10 @@ def simulate(tree: Node, profile: StrategyProfile, n: int, seed: int) -> Simulat
         except ValueError:
             continue  # generic tree without class labels
         class_freq[cls] += k / n
+    # one playout gives no spread to estimate, as for the payoffs below
     class_se = {
-        cls: math.sqrt(freq * (1.0 - freq) / n) for cls, freq in class_freq.items()
+        cls: math.sqrt(freq * (1.0 - freq) / n) if n > 1 else float("nan")
+        for cls, freq in class_freq.items()
     }
 
     means = {p: sums[p] / n for p in sums}

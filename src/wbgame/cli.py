@@ -25,8 +25,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, analysis, model, oracle, scenario
-from .analysis import AnalysisError, OutcomeClass
-from .model import build_game, prune_zero
+from .analysis import AnalysisError
+from .model import OutcomeClass, build_game, prune_zero
 from .solver import solve
 from .tree import Player
 from .scenario import Scenario, format_number
@@ -188,21 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wbgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=True, help="path to a .scn scenario file")
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument(
             "--no-meta", action="store_true",
             help="suppress the metadata header (makes output byte-reproducible)",
         )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="solve the scenario and print the equilibrium")
-    common(p)
+    p = command("solve", cmd_solve, "solve the scenario and print the equilibrium")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="re-solve along a parameter grid")
-    common(p)
+    p = command("sweep", cmd_sweep, "re-solve along a parameter grid")
     p.add_argument(
         "--param", required=True,
         help="parameter name (w x y z a..g B..G H I) or risk coefficient (risk_alice risk_tom)",
@@ -210,10 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True, help="grid start")
     p.add_argument("--to", dest="stop", type=float, required=True, help="grid end")
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 2)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold", help="bisect to an equilibrium flip point")
-    common(p)
+    p = command("threshold", cmd_threshold, "bisect to an equilibrium flip point")
     p.add_argument(
         "--param", required=True,
         help="parameter name (w x y z a..g B..G H I); not a risk coefficient",
@@ -221,30 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser(
-        "levers", help="minimal change per intervention lever that makes alice leak"
-    )
-    common(p)
+    p = command("levers", cmd_levers,
+                "minimal change per intervention lever that makes alice leak")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_levers)
 
-    p = sub.add_parser("simulate", help="Monte Carlo playouts of the solved strategy")
-    common(p)
+    p = command("simulate", cmd_simulate, "Monte Carlo playouts of the solved strategy")
     p.add_argument("--n", type=int, required=True, help="number of playouts")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="check the solver against brute-force enumeration")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "check the solver against brute-force enumeration")
 
-    p = sub.add_parser("export-tree", help="emit the game tree as DOT")
-    common(p)
+    p = command("export-tree", cmd_export_tree, "emit the game tree as DOT")
     p.add_argument("--pruned", action="store_true", help="drop zero-probability branches")
     p.add_argument("--with-solution", action="store_true", help="highlight chosen actions")
-    p.set_defaults(func=cmd_export_tree)
 
     return parser
 

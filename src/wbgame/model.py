@@ -68,15 +68,17 @@ class Variant(Enum):
     ALICE_TO_HARRY = "alice-to-harry"
 
 
-# terminal labels double as outcome-class names (see wbgame.analysis)
-NO_LEAK = "no-leak"
-NO_TRUST = "no-trust"
-BLOCKED = "blocked"
-CENSORED_JAILED = "censored-jailed"
-CENSORED_ANONYMOUS = "censored-anonymous"
-UNCENSORED_ANONYMOUS = "uncensored-anonymous"
-UNCENSORED_IMPUNITY = "uncensored-impunity"
-UNCENSORED_JAILED = "uncensored-jailed"
+class OutcomeClass(Enum):
+    """How the game ends; each terminal's label is its class's value."""
+
+    NO_LEAK = "no-leak"
+    NO_TRUST = "no-trust"
+    BLOCKED = "blocked"
+    CENSORED_JAILED = "censored-jailed"
+    CENSORED_ANONYMOUS = "censored-anonymous"
+    UNCENSORED_ANONYMOUS = "uncensored-anonymous"
+    UNCENSORED_IMPUNITY = "uncensored-impunity"
+    UNCENSORED_JAILED = "uncensored-jailed"
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,8 @@ def _game_plan() -> Plan:
             Player.TOM,
             f"tom: pursue alice? (node {paper_node})",
             [
-                ("pursue", term(CENSORED_JAILED, ("c",), ("C", extra, "I"))),
-                ("drop", term(CENSORED_ANONYMOUS, ("d",), ("D", extra))),
+                ("pursue", term(OutcomeClass.CENSORED_JAILED.value, ("c",), ("C", extra, "I"))),
+                ("drop", term(OutcomeClass.CENSORED_ANONYMOUS.value, ("d",), ("D", extra))),
             ],
             active="pursue",
         )
@@ -233,15 +235,19 @@ def _game_plan() -> Plan:
         pursue_harry = chance(
             "harry protection",
             [
-                ("harry-strong", "z", term(UNCENSORED_IMPUNITY, ("f",), ("F", extra, "I"))),
-                ("harry-weak", "1-z", term(UNCENSORED_JAILED, ("g",), ("G", extra, "I"))),
+                ("harry-strong", "z",
+                 term(OutcomeClass.UNCENSORED_IMPUNITY.value, ("f",), ("F", extra, "I"))),
+                ("harry-weak", "1-z",
+                 term(OutcomeClass.UNCENSORED_JAILED.value, ("g",), ("G", extra, "I"))),
             ],
         )
         drop_harry = chance(
             "harry protection",
             [
-                ("harry-strong", "z", term(UNCENSORED_ANONYMOUS, ("e",), ("E", extra))),
-                ("harry-weak", "1-z", term(UNCENSORED_ANONYMOUS, ("e",), ("E", extra))),
+                ("harry-strong", "z",
+                 term(OutcomeClass.UNCENSORED_ANONYMOUS.value, ("e",), ("E", extra))),
+                ("harry-weak", "1-z",
+                 term(OutcomeClass.UNCENSORED_ANONYMOUS.value, ("e",), ("E", extra))),
             ],
         )
         return decide(
@@ -269,7 +275,7 @@ def _game_plan() -> Plan:
         Player.TOM,
         "tom: block duncan? (node 2)",
         [
-            ("block", term(BLOCKED, ("b",), ("B",))),
+            ("block", term(OutcomeClass.BLOCKED.value, ("b",), ("B",))),
             ("proceed", decide(
                 Player.TOM,
                 "tom: censor? (node 3)",
@@ -286,7 +292,7 @@ def _game_plan() -> Plan:
         "duncan: trust alice?",
         [
             ("trust", "w", block_choice),
-            ("no-trust", "1-w", term(NO_TRUST, ("a",), ("0",))),
+            ("no-trust", "1-w", term(OutcomeClass.NO_TRUST.value, ("a",), ("0",))),
         ],
     )
     decide(
@@ -294,7 +300,7 @@ def _game_plan() -> Plan:
         "alice: leak? (node 1)",
         [
             ("leak", trust),
-            ("stay", term(NO_LEAK, ("0",), ("0",))),
+            ("stay", term(OutcomeClass.NO_LEAK.value, ("0",), ("0",))),
         ],
         active="leak",
     )

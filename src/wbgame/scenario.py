@@ -1,7 +1,8 @@
 """Scenario files, result serialization, and DOT export.
 
-Scenario grammar (``.scn``): one ``key = value`` per line, ``#`` starts a
-comment, blank lines are ignored. The 19 numeric keys are required::
+Scenario grammar (``.scn``, UTF-8, a leading byte-order mark allowed): one
+``key = value`` per line, ``#`` starts a comment, blank lines are ignored.
+The 19 numeric keys are required::
 
     w x y z            probabilities (x + y <= 1)
     a b c d e f g      Alice's payoffs
@@ -24,17 +25,16 @@ import json
 import math
 from dataclasses import astuple, dataclass
 
-from .analysis import OutcomeClass
-from .model import GameParameters, Variant
-from .solver import RISK_NAMES, RiskProfile, SolveResult, TiePolicy, TieRule
+from .model import GameParameters, OutcomeClass, Variant
+from .solver import (
+    PAPER_TIES, RISK_NAMES, RISK_NEUTRAL, RiskProfile, SolveResult, TiePolicy, TieRule,
+)
 from .tree import NEG_INF, Chance, Decision, Node, Player, iter_nodes, require_valid, terminals
 from . import model
 
 
-OPTION_KEYS = (
-    "name", "variant", *RISK_NAMES, "tie_alice", "tie_tom",
-    "expected_outcome",
-)
+_TIE_KEYS = ("tie_alice", "tie_tom")
+OPTION_KEYS = ("name", "variant", *RISK_NAMES, *_TIE_KEYS, "expected_outcome")
 
 
 class ScenarioError(ValueError):
@@ -60,25 +60,55 @@ class Scenario:
     warnings: tuple[str, ...]
 
 
-_TIE_TOKENS = {"act": TieRule.ACT_ON_TIE, "refrain": TieRule.REFRAIN_ON_TIE}
+def _parse_float(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse number {raw!r} for {key}") from None
 
 
-def _parse_number(key: str, raw: str, line_no: int, column: int) -> float:
+def _parse_number(key: str, raw: str) -> float:
     if raw == "-inf":
         if key != "B":
-            raise ScenarioError(f"-inf is only legal for B, not {key}", line_no, column)
+            raise ValueError(f"-inf is only legal for B, not {key}")
         return NEG_INF
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScenarioError(f"cannot parse number {raw!r} for {key}", line_no, column) from None
+    value = _parse_float(key, raw)
     if math.isnan(value) or math.isinf(value):
-        raise ScenarioError(f"{key} = {raw!r} is not a finite number", line_no, column)
+        raise ValueError(f"{key} = {raw!r} is not a finite number")
     return value
 
 
+def _parse_risk(key: str, raw: str) -> float:
+    value = _parse_float(key, raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite")
+    return value
+
+
+def _parse_tie(key: str, raw: str) -> TieRule:
+    try:
+        return TieRule(raw)
+    except ValueError:
+        options = " or ".join(repr(rule.value) for rule in TieRule)
+        raise ValueError(f"{key} must be {options}, got {raw!r}") from None
+
+
+#: option key -> (its noun in messages, the enum whose values it takes)
+_CHOICES = {"variant": ("variant", Variant), "expected_outcome": ("outcome class", OutcomeClass)}
+
+
+def _parse_choice(key: str, raw: str) -> Variant | OutcomeClass:
+    noun, kind = _CHOICES[key]
+    try:
+        return kind(raw)
+    except ValueError:
+        options = ", ".join(member.value for member in kind)
+        raise ValueError(f"unknown {noun} {raw!r} (options: {options})") from None
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate one scenario file."""
+    """Parse and fully validate one scenario file; its first bad value in
+    the order of ``PARAMETER_NAMES`` then ``OPTION_KEYS`` is the one reported."""
     seen: dict[str, tuple[str, int, int]] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
@@ -102,72 +132,44 @@ def parse_scenario(text: str) -> Scenario:
     if missing:
         raise ScenarioError(f"missing required keys: {', '.join(missing)}")
 
-    numbers = {
-        key: _parse_number(key, *seen[key]) for key in model.PARAMETER_NAMES
-    }
+    def given(keys, parse, prefix=""):
+        """``parse(key, raw)`` of each of ``keys`` the file sets, keyed without
+        ``prefix``; a ValueError from ``parse`` becomes a ScenarioError at the value."""
+        parsed = {}
+        for key in keys:
+            if key in seen:
+                raw, line_no, column = seen[key]
+                try:
+                    parsed[key.removeprefix(prefix)] = parse(key, raw)
+                except ValueError as exc:
+                    raise ScenarioError(str(exc), line_no, column) from None
+        return parsed
 
-    variant = Variant.STANDARD
-    if "variant" in seen:
-        raw, line_no, column = seen["variant"]
-        try:
-            variant = Variant(raw)
-        except ValueError:
-            options = ", ".join(v.value for v in Variant)
-            raise ScenarioError(
-                f"unknown variant {raw!r} (options: {options})", line_no, column
-            ) from None
+    # the keys the file leaves out take the defaults of the types built here
+    numbers = given(model.PARAMETER_NAMES, _parse_number)
+    variant = given(("variant",), _parse_choice)
+    risk = given(RISK_NAMES, _parse_risk, "risk_")
+    ties = given(_TIE_KEYS, _parse_tie, "tie_")
+    expected = given(("expected_outcome",), _parse_choice)
 
-    risk_values = []
-    for field in RISK_NAMES:
-        value = 0.0
-        if field in seen:
-            raw, line_no, column = seen[field]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ScenarioError(f"cannot parse number {raw!r} for {field}", line_no, column) from None
-            if not math.isfinite(value):
-                raise ScenarioError(f"{field} must be finite", line_no, column)
-        risk_values.append(value)
-
-    ties = {"tie_alice": TieRule.REFRAIN_ON_TIE, "tie_tom": TieRule.ACT_ON_TIE}
-    for field in ("tie_alice", "tie_tom"):
-        if field in seen:
-            raw, line_no, column = seen[field]
-            if raw not in _TIE_TOKENS:
-                raise ScenarioError(f"{field} must be 'act' or 'refrain', got {raw!r}", line_no, column)
-            ties[field] = _TIE_TOKENS[raw]
-
-    expected = None
-    if "expected_outcome" in seen:
-        raw, line_no, column = seen["expected_outcome"]
-        try:
-            expected = OutcomeClass(raw)
-        except ValueError:
-            options = ", ".join(c.value for c in OutcomeClass)
-            raise ScenarioError(
-                f"unknown outcome class {raw!r} (options: {options})", line_no, column
-            ) from None
-
-    name = seen["name"][0] if "name" in seen else ""
-
-    parameters = GameParameters(variant=variant, **numbers)
+    parameters = GameParameters(**numbers, **variant)
     problems = model.validate_parameters(parameters)
     if problems:
         raise ScenarioError("; ".join(problems))
 
     return Scenario(
-        name=name,
+        name=seen["name"][0] if "name" in seen else "",
         parameters=parameters,
-        risk=RiskProfile(*risk_values),
-        ties=TiePolicy(alice=ties["tie_alice"], tom=ties["tie_tom"]),
-        expected_outcome=expected,
+        risk=RiskProfile(**risk),
+        ties=TiePolicy(**ties),
+        expected_outcome=expected.get("expected_outcome"),
         warnings=tuple(model.parameter_warnings(parameters)),
     )
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read and parse a scenario file; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_scenario(fh.read())
 
 
@@ -186,13 +188,12 @@ def render_scenario(s: Scenario) -> str:
         lines.append(f"{key} = {format_number(getattr(s.parameters, key))}")
     if s.parameters.variant is not Variant.STANDARD:
         lines.append(f"variant = {s.parameters.variant.value}")
-    for key, value in zip(RISK_NAMES, astuple(s.risk)):
-        if value != 0.0:
+    for key, value, neutral in zip(RISK_NAMES, astuple(s.risk), astuple(RISK_NEUTRAL)):
+        if value != neutral:
             lines.append(f"{key} = {format_number(value)}")
-    if s.ties.alice is not TieRule.REFRAIN_ON_TIE:
-        lines.append(f"tie_alice = {s.ties.alice.value}")
-    if s.ties.tom is not TieRule.ACT_ON_TIE:
-        lines.append(f"tie_tom = {s.ties.tom.value}")
+    for key, rule, paper in zip(_TIE_KEYS, astuple(s.ties), astuple(PAPER_TIES)):
+        if rule is not paper:
+            lines.append(f"{key} = {rule.value}")
     if s.expected_outcome is not None:
         lines.append(f"expected_outcome = {s.expected_outcome.value}")
     return "\n".join(lines) + "\n"
@@ -276,12 +277,12 @@ def render_result(
 
 
 _WALK_PHRASES = {
-    ("", "leak"): "alice leaks",
-    ("", "stay"): "alice stays quiet",
-    ("leak/trust", "block"): "tom blocks duncan before the broadcast",
-    ("leak/trust", "proceed"): "tom lets duncan proceed",
-    ("leak/trust/proceed", "censor"): "tom attempts censorship",
-    ("leak/trust/proceed", "hold"): "tom holds (no censorship attempt)",
+    (model.ROOT_NODE_ID, "leak"): "alice leaks",
+    (model.ROOT_NODE_ID, "stay"): "alice stays quiet",
+    (model.BLOCK_NODE_ID, "block"): "tom blocks duncan before the broadcast",
+    (model.BLOCK_NODE_ID, "proceed"): "tom lets duncan proceed",
+    (model.CENSOR_NODE_ID, "censor"): "tom attempts censorship",
+    (model.CENSOR_NODE_ID, "hold"): "tom holds (no censorship attempt)",
 }
 
 
@@ -327,14 +328,14 @@ def _render_text(result: SolveResult, tree: Node, meta: dict | None) -> str:
 # --- DOT export --------------------------------------------------------------
 
 _OUTCOME_LETTERS = {
-    model.NO_LEAK: ("0", "0"),
-    model.NO_TRUST: ("a", "0"),
-    model.BLOCKED: ("b", "B"),
-    model.CENSORED_JAILED: ("c", "C"),
-    model.CENSORED_ANONYMOUS: ("d", "D"),
-    model.UNCENSORED_ANONYMOUS: ("e", "E"),
-    model.UNCENSORED_IMPUNITY: ("f", "F"),
-    model.UNCENSORED_JAILED: ("g", "G"),
+    OutcomeClass.NO_LEAK.value: ("0", "0"),
+    OutcomeClass.NO_TRUST.value: ("a", "0"),
+    OutcomeClass.BLOCKED.value: ("b", "B"),
+    OutcomeClass.CENSORED_JAILED.value: ("c", "C"),
+    OutcomeClass.CENSORED_ANONYMOUS.value: ("d", "D"),
+    OutcomeClass.UNCENSORED_ANONYMOUS.value: ("e", "E"),
+    OutcomeClass.UNCENSORED_IMPUNITY.value: ("f", "F"),
+    OutcomeClass.UNCENSORED_JAILED.value: ("g", "G"),
 }
 
 

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import sample_parameters
+from conftest import sample_parameters, scenario_path
 from test_model import params
-from wbgame import analysis
+import wbgame
+from wbgame import analysis, model
 from wbgame.analysis import (
     PRESCAN,
     AnalysisError,
@@ -24,8 +25,9 @@ from wbgame.analysis import (
     sweep,
 )
 from wbgame.model import build_game
-from wbgame.solver import RISK_NAMES, RiskProfile, solve
-from wbgame.tree import Player, chance, decision, terminal
+from wbgame.scenario import load_scenario
+from wbgame.solver import RISK_NAMES, RiskProfile, TiePolicy, TieRule, solve
+from wbgame.tree import Player, chance, decision, terminal, terminals
 
 
 def passive_tom(**overrides):
@@ -48,6 +50,12 @@ def test_classify_terminal():
     assert classify_terminal("no-leak") is OutcomeClass.NO_LEAK
     with pytest.raises(ValueError):
         classify_terminal("mystery")
+
+
+def test_outcome_classes_are_the_model_s_terminal_labels():
+    assert OutcomeClass is model.OutcomeClass is wbgame.OutcomeClass
+    labels = {node.label for _, node in terminals(build_game(params()))}
+    assert labels == {cls.value for cls in OutcomeClass}
 
 
 def test_class_distribution_rejects_a_label_that_is_not_a_class():
@@ -271,6 +279,27 @@ class TestFindThreshold:
         refined = find_threshold(baseline_noleak.parameters, "y", *segments[0], tol=tol)
         assert abs(direct.critical - refined.critical) <= 2 * tol
 
+    @pytest.mark.parametrize(
+        "ties", [TiePolicy(alice, tom) for alice in TieRule for tom in TieRule],
+        ids=lambda t: f"alice-{t.alice.value}-tom-{t.tom.value}",
+    )
+    @pytest.mark.parametrize("name, tied, param, lo, hi, risk", [
+        ("baseline_noleak", True, "w", 0.0, 1.0, RiskProfile(-0.4, 0.2)),
+        ("baseline", True, "E", -10.0, 10.0, RiskProfile(-0.4, 0.2)),
+        ("baseline", False, "w", 0.0, 1.0, RiskProfile(0.3, 0.0)),
+        ("snowden", False, "I", -5.0, 0.0, RiskProfile(0.0, -0.5)),
+    ])
+    def test_bisection_agrees_with_grid_scan_under_risk_and_ties(
+        self, name, tied, param, lo, hi, risk, ties
+    ):
+        base = load_scenario(scenario_path(name)).parameters
+        if tied:  # Tom is indifferent about a censored pursuit: his tie rule picks the support
+            base = replace(base, C=base.D, I=0.0)
+        tol = 1e-6
+        report = find_threshold(base, param, lo, hi, tol, risk, ties)
+        first, last = grid_scan_flip(base, param, lo, hi, 401, risk, ties)[0]
+        assert first - 2 * tol <= report.critical <= last + 2 * tol
+
     @pytest.mark.parametrize("param", ["q", "risk_alice"])
     def test_grid_scan_rejects_an_unknown_parameter(self, param):
         # a risk coefficient is not a game parameter: the message lists the 19 only
@@ -414,6 +443,7 @@ class TestSimulate:
         sim = simulate(tree, {}, 1, seed=7)
         assert sum(sim.terminal_counts.values()) == 1
         assert all(math.isnan(se) for se in sim.payoff_standard_errors.values())
+        assert all(math.isnan(se) for se in sim.class_standard_errors.values())
 
     def test_n_must_be_positive(self, baseline):
         tree = build_game(baseline.parameters)

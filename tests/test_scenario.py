@@ -130,6 +130,25 @@ class TestParse:
         assert (info.value.line, info.value.column) == (20, column)
         assert str(info.value).startswith(f"line 20, column {column}: {message}")
 
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("variant = sideways\n" + MINIMAL.replace("w = 0.6", "w = zero"),
+         2, 5, "cannot parse number 'zero' for w"),
+        (MINIMAL + "risk_alice = abc\nvariant = sideways\n", 21, 11,
+         "unknown variant 'sideways' (options: standard, duncan-to-harry, alice-to-harry)"),
+        (MINIMAL + "tie_alice = always\nrisk_tom = abc\n", 21, 12,
+         "cannot parse number 'abc' for risk_tom"),
+        (MINIMAL + "expected_outcome = mystery\ntie_tom = always\n", 21, 11,
+         "tie_tom must be 'act' or 'refrain', got 'always'"),
+    ], ids=["number-before-variant", "variant-before-risk", "risk-before-tie",
+            "tie-before-expected-outcome"])
+    def test_first_bad_value_in_check_order_is_reported(self, text, line, column, message):
+        # the value checked first is on the later line, so file order would
+        # report the other one
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"line {line}, column {column}: {message}"
+
     def test_option_parsing(self):
         text = MINIMAL + (
             "name = demo\nrisk_alice = 0.5\nrisk_tom = -0.25\n"
@@ -157,6 +176,12 @@ class TestParse:
         s = parse_scenario(MINIMAL.replace("H = -3", "H = 2"))
         assert any("H = " in w for w in s.warnings)
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.scn"
+        with open(scenario_path("baseline"), encoding="utf-8") as fh:
+            path.write_text("\ufeff" + fh.read(), encoding="utf-8")
+        assert load_scenario(str(path)) == load_scenario(scenario_path("baseline"))
+
     def test_shipped_scenarios_parse(self):
         for name in ("baseline", "baseline_noleak", "snowden", "weinstein_pre", "weinstein_post"):
             s = load_scenario(scenario_path(name))
@@ -180,6 +205,29 @@ class TestRoundTrip:
         for line in ("variant = alice-to-harry", "tie_alice = act", "tie_tom = refrain"):
             assert line in rendered.splitlines()
         assert parse_scenario(rendered) == s
+
+    def test_render_without_options(self):
+        assert render_scenario(parse_scenario(MINIMAL)) == (
+            "w = 0.6\nx = 0.2\ny = 0.3\nz = 0.5\n"
+            "a = -1.0\nb = -2.0\nc = -8.0\nd = -1.0\ne = 5.0\nf = 4.0\ng = -4.0\n"
+            "B = -5.0\nC = 2.0\nD = 0.5\nE = -5.0\nF = -6.0\nG = -3.0\n"
+            "H = -3.0\nI = -2.5\n"
+        )
+
+    def test_render_with_every_option_set(self):
+        text = MINIMAL.replace("x = 0.2", "x = 0").replace("y = 0.3", "y = 1") + (
+            "name = demo\nvariant = duncan-to-harry\nrisk_alice = 0.5\nrisk_tom = -0.25\n"
+            "tie_alice = act\ntie_tom = refrain\nexpected_outcome = blocked\n"
+        )
+        assert render_scenario(parse_scenario(text)) == (
+            "name = demo\n"
+            "w = 0.6\nx = 0.0\ny = 1.0\nz = 0.5\n"
+            "a = -1.0\nb = -2.0\nc = -8.0\nd = -1.0\ne = 5.0\nf = 4.0\ng = -4.0\n"
+            "B = -5.0\nC = 2.0\nD = 0.5\nE = -5.0\nF = -6.0\nG = -3.0\n"
+            "H = -3.0\nI = -2.5\n"
+            "variant = duncan-to-harry\nrisk_alice = 0.5\nrisk_tom = -0.25\n"
+            "tie_alice = act\ntie_tom = refrain\nexpected_outcome = blocked\n"
+        )
 
     def test_shipped_files_round_trip(self):
         for name in ("baseline", "baseline_noleak", "snowden", "weinstein_pre", "weinstein_post"):
